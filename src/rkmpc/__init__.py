@@ -1,67 +1,18 @@
 """Sampling-based MPC with reverse-KL mirror descent, rejection-composed
 policies, and noise-adaptive Nesterov acceleration."""
 
-from .envs import EnvSpec, RolloutResult, make_env, rollout_batch, rollout_cost
-from .policy import (
-    MirrorPoint,
-    PolicyParams,
-    kl_divergence,
-    log_density,
-    mirror_inverse,
-    mirror_map,
-    sample_batch,
-    squash,
-    standard_prior,
-)
-from .solvers import (
-    ControlResult,
-    SolverConfig,
-    SolverState,
-    accel_update,
-    agd_plus_step,
-    compose_and_sample,
-    forward_update,
-    md_gradient,
-    noise_strength,
-    reject_update,
-    reverse_update,
-    solve,
-    step_size_advance,
-    warm_start,
-)
-from .weights import WeightConfig, forward_weights, partition_clusters, signed_log_weights
+from .envs import EnvSpec, make_env
+from .policy import PolicyParams
+from .solvers import ControlResult, SolverConfig, SolverState, solve
+from .weights import WeightConfig
 
 __all__ = [
     "ControlResult",
     "EnvSpec",
-    "MirrorPoint",
     "PolicyParams",
-    "RolloutResult",
     "SolverConfig",
     "SolverState",
     "WeightConfig",
-    "accel_update",
-    "agd_plus_step",
-    "compose_and_sample",
-    "forward_update",
-    "forward_weights",
-    "kl_divergence",
-    "log_density",
     "make_env",
-    "md_gradient",
-    "mirror_inverse",
-    "mirror_map",
-    "noise_strength",
-    "partition_clusters",
-    "reject_update",
-    "reverse_update",
-    "rollout_batch",
-    "rollout_cost",
-    "sample_batch",
-    "signed_log_weights",
     "solve",
-    "squash",
-    "standard_prior",
-    "step_size_advance",
-    "warm_start",
 ]

@@ -21,7 +21,6 @@ from .policy import squash
 
 SWEEPABLE = ("kappa", "gamma", "beta", "alpha")
 
-RESULT_HEADER = ["seed", "step", "iterations", "chosen_J", "realized_cost", "s_i", "a_i"]
 TIMING_HEADER = ["seed", "step", "wall_time"]
 
 

@@ -54,7 +54,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, help="max iterations per control step")
     p.add_argument("--steps", type=int, help="episode length in control steps")
     p.add_argument("--seed", type=str, help="comma-separated seed list")
-    p.add_argument("--threads", type=int, help="rollout threads")
     p.add_argument("--output", help="output directory")
     p.add_argument("--name", default="bench", help="output file stem")
 
@@ -74,7 +73,7 @@ def _file_values(path: str | None) -> dict:
 
 
 _FLOAT_KEYS = {"alpha", "beta", "gamma", "eta", "kappa", "quantile", "temperature", "deadline_ms"}
-_INT_KEYS = {"horizon", "candidates", "oversample", "iterations", "steps", "threads"}
+_INT_KEYS = {"horizon", "candidates", "oversample", "iterations", "steps"}
 
 
 def _merged(args: argparse.Namespace) -> dict:
@@ -114,7 +113,6 @@ def build_config(values: dict) -> ExperimentConfig:
             weights=weights,
             deadline=math.inf if deadline_ms is None else deadline_ms / 1000.0,
             max_iterations=values.get("iterations", 32),
-            rollout_threads=values.get("threads", 1),
         )
         seeds = values.get("seed", "0")
         if isinstance(seeds, str):

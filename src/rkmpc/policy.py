@@ -24,7 +24,6 @@ class PolicyParams:
 
     mu: np.ndarray
     sigma: np.ndarray
-    sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
         mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
@@ -35,8 +34,8 @@ class PolicyParams:
             raise ValueError(f"expected 2-D (action_dim, horizon) arrays, got {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma < self.sigma_floor):
-            raise ValueError(f"sigma must be finite and >= {self.sigma_floor}")
+        if not np.all(np.isfinite(sigma)) or np.any(sigma < SIGMA_FLOOR):
+            raise ValueError(f"sigma must be finite and >= {SIGMA_FLOOR}")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -49,11 +48,6 @@ class PolicyParams:
     @property
     def horizon(self) -> int:
         return self.mu.shape[1]
-
-    def floored(self, sigma_floor: float | None = None) -> "PolicyParams":
-        """Copy with sigma clamped from below."""
-        floor = self.sigma_floor if sigma_floor is None else sigma_floor
-        return PolicyParams(self.mu, np.maximum(self.sigma, floor), sigma_floor=floor)
 
 
 def standard_prior(action_dim: int, horizon: int) -> PolicyParams:
@@ -161,4 +155,4 @@ def mirror_inverse(z: MirrorPoint) -> PolicyParams:
             0.5 * (var_i * z.z_sigma + ref.sigma * root),
             2.0 * ref.sigma / (root - sz),
         )
-    return PolicyParams(mu, np.maximum(sigma, ref.sigma_floor), sigma_floor=ref.sigma_floor)
+    return PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR))

@@ -7,16 +7,17 @@ Variants:
   accel   -- reject plus modified Nesterov acceleration on mirror descent,
              with a noise-adaptive step-size schedule.
 
-All updates are pure functions; `solve` owns the per-step state, the
-deadline bookkeeping, and the counter-based RNG streams that keep results
-independent of rollout parallelism.
+All four share one iteration loop in `solve` (sample, roll out, weight,
+update); only the sampler, the weight map and the update step differ per
+variant.  Updates are pure functions; `solve` owns the per-step state, the
+deadline bookkeeping, and the counter-based RNG streams that make each
+iteration's batch a function of (seed, step, iteration) alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,9 +51,7 @@ class SolverConfig:
     weights: WeightConfig = field(default_factory=WeightConfig)
     deadline: float = math.inf  # seconds of wall clock per control step
     max_iterations: int = 32
-    sigma_floor: float = SIGMA_FLOOR
     nonfinite_penalty: float = 1e6
-    rollout_threads: int = 1
 
     def __post_init__(self):
         if self.n_candidates < 2:
@@ -65,16 +64,16 @@ class SolverConfig:
             raise ValueError("gamma and kappa must be >= 0")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.horizon < 1 or self.max_iterations < 1 or self.rollout_threads < 1:
-            raise ValueError("horizon, max_iterations, rollout_threads must be >= 1")
+        if self.horizon < 1 or self.max_iterations < 1:
+            raise ValueError("horizon and max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
 class SolverState:
     theta_plus: PolicyParams
-    theta_minus: PolicyParams | None = None
-    theta_tilde_plus: PolicyParams | None = None
-    theta_tilde_minus: PolicyParams | None = None
+    theta_minus: PolicyParams
+    theta_tilde_plus: PolicyParams
+    theta_tilde_minus: PolicyParams
     a_i: float = 0.0
     A_i: float = 0.0
     sigma_max_running: float = 0.0
@@ -91,7 +90,6 @@ class ControlResult:
     iteration_times: tuple[float, ...]
     cost_trace: tuple[float, ...] = ()  # min batch cost per iteration
     no_positive_update: bool = False
-    all_zero_weights: bool = False
     nonfinite_candidates: int = 0
 
 
@@ -100,7 +98,6 @@ def forward_update(
     u_batch: np.ndarray,
     weights: np.ndarray,
     alpha: float,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> tuple[PolicyParams, bool]:
     """Smoothed weighted-MLE refit; returns (params, all_weights_zero flag)."""
     w = np.asarray(weights, dtype=float)
@@ -113,7 +110,7 @@ def forward_update(
     sigma_star = np.sqrt(var_star)
     mu = (1.0 - alpha) * theta_i.mu + alpha * mu_star
     sigma = (1.0 - alpha) * theta_i.sigma + alpha * sigma_star
-    return PolicyParams(mu, np.maximum(sigma, sigma_floor)), False
+    return PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR)), False
 
 
 def md_gradient(
@@ -145,7 +142,6 @@ def reverse_update(
     lnH: np.ndarray,
     alpha: float,
     cluster: np.ndarray | None = None,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> PolicyParams:
     """One mirror-descent step anchored at theta_i."""
     if cluster is None:
@@ -154,7 +150,7 @@ def reverse_update(
     z = mirror_map(theta_i, theta_i)
     z_new = MirrorPoint(z.z_mu - alpha * g_mu, z.z_sigma - alpha * g_sigma, theta_i)
     out = mirror_inverse(z_new)
-    return PolicyParams(out.mu, np.maximum(out.sigma, sigma_floor))
+    return PolicyParams(out.mu, np.maximum(out.sigma, SIGMA_FLOOR))
 
 
 def reject_update(
@@ -162,7 +158,6 @@ def reject_update(
     u_batch: np.ndarray,
     lnH: np.ndarray,
     alpha: float,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> SolverState:
     """Update theta+ over C+ and theta- over C-, each side under its own
     mirror geometry; a side with an empty cluster is left untouched.
@@ -171,12 +166,11 @@ def reject_update(
     density model of the bad candidates.
     """
     c_plus, c_minus = partition_clusters(lnH)
-    theta_plus = state.theta_plus
-    theta_minus = state.theta_minus if state.theta_minus is not None else state.theta_plus
+    theta_plus, theta_minus = state.theta_plus, state.theta_minus
     if c_plus.size:
-        theta_plus = reverse_update(theta_plus, u_batch, lnH, alpha, c_plus, sigma_floor)
+        theta_plus = reverse_update(theta_plus, u_batch, lnH, alpha, c_plus)
     if c_minus.size:
-        theta_minus = reverse_update(theta_minus, u_batch, -np.asarray(lnH), alpha, c_minus, sigma_floor)
+        theta_minus = reverse_update(theta_minus, u_batch, -np.asarray(lnH), alpha, c_minus)
     return replace(state, theta_plus=theta_plus, theta_minus=theta_minus, iteration=state.iteration + 1)
 
 
@@ -258,7 +252,6 @@ def agd_plus_step(
     a_next: float,
     A_next: float,
     anchor: PolicyParams | None = None,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> tuple[PolicyParams, PolicyParams]:
     """One accelerated mirror-descent step; returns (theta_next, theta_tilde).
 
@@ -276,7 +269,7 @@ def agd_plus_step(
     w_mom = a_i / A_next
     mu = w_keep * theta_i.mu + w_new * tilde.mu + w_mom * (tilde.mu - theta_tilde_prev.mu)
     sigma = w_keep * theta_i.sigma + w_new * tilde.sigma + w_mom * (tilde.sigma - theta_tilde_prev.sigma)
-    theta_next = PolicyParams(mu, np.maximum(sigma, sigma_floor))
+    theta_next = PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR))
     return theta_next, tilde
 
 
@@ -295,22 +288,18 @@ def accel_update(
     """
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
+    lnH = np.asarray(lnH, dtype=float)
     c_plus, c_minus = partition_clusters(lnH)
-
-    theta_plus, tilde_plus = state.theta_plus, state.theta_tilde_plus
-    if c_plus.size:
-        g = md_gradient(theta_plus, u_batch, lnH, c_plus)
-        theta_plus, tilde_plus = agd_plus_step(
-            theta_plus, tilde_plus, *g, state.a_i, state.A_i, a_next, A_next,
-            sigma_floor=config.sigma_floor,
-        )
-    theta_minus, tilde_minus = state.theta_minus, state.theta_tilde_minus
-    if c_minus.size:
-        g = md_gradient(theta_minus, u_batch, -np.asarray(lnH), c_minus)
-        theta_minus, tilde_minus = agd_plus_step(
-            theta_minus, tilde_minus, *g, state.a_i, state.A_i, a_next, A_next,
-            sigma_floor=config.sigma_floor,
-        )
+    sides = []
+    for theta, tilde, signed, cluster in (
+        (state.theta_plus, state.theta_tilde_plus, lnH, c_plus),
+        (state.theta_minus, state.theta_tilde_minus, -lnH, c_minus),
+    ):
+        if cluster.size:
+            g = md_gradient(theta, u_batch, signed, cluster)
+            theta, tilde = agd_plus_step(theta, tilde, *g, state.a_i, state.A_i, a_next, A_next)
+        sides.append((theta, tilde))
+    (theta_plus, tilde_plus), (theta_minus, tilde_minus) = sides
     new_state = replace(
         state,
         theta_plus=theta_plus,
@@ -350,30 +339,8 @@ def warm_start(
 
 
 def _iteration_rng(seed: int, step: int, iteration: int) -> np.random.Generator:
-    """Counter-based stream: outcomes never depend on evaluation parallelism."""
+    """Counter-based stream: the batch never depends on earlier draws."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step, iteration)))
-
-
-def _evaluate_costs(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray, threads: int) -> np.ndarray:
-    """Rollout costs for all candidates, optionally chunked across threads.
-
-    Chunks are indexed slices reduced into a preallocated array, so the
-    result is bit-identical for any thread count.
-    """
-    n = u_squashed.shape[0]
-    if threads <= 1 or n < 2 * threads:
-        return rollout_batch(env, x_t, u_squashed)
-    J = np.empty(n)
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-
-    def work(lo: int, hi: int) -> None:
-        J[lo:hi] = rollout_batch(env, x_t, u_squashed[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for f in futures:
-            f.result()
-    return J
 
 
 def _initial_state(
@@ -387,10 +354,7 @@ def _initial_state(
         minus1 = prior
     else:
         theta1, a1, A1 = warm_start(prev.theta_plus, prior, prev.a_i, config.eta, config.alpha)
-        if prev.theta_minus is not None:
-            minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
-        else:
-            minus1 = prior
+        minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
     return SolverState(
         theta_plus=theta1,
         theta_minus=minus1,
@@ -398,9 +362,35 @@ def _initial_state(
         theta_tilde_minus=minus1,
         a_i=a1,
         A_i=A1,
-        sigma_max_running=0.0,
         iteration=1,
     )
+
+
+def _update(
+    variant: str,
+    state: SolverState,
+    u_batch: np.ndarray,
+    w: np.ndarray,
+    J: np.ndarray,
+    config: SolverConfig,
+) -> tuple[SolverState, bool, float]:
+    """One variant's policy update from this batch's weights w.
+
+    Returns (state, moved, s_i): moved says whether theta+ got a positive
+    update, and s_i is the noise strength (accel only, else 0).
+    """
+    if variant == "forward":
+        theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
+        return replace(state, theta_plus=theta, iteration=state.iteration + 1), not zero, 0.0
+    if variant == "reverse":
+        moved = bool(np.any(w != 0.0))
+        theta = reverse_update(state.theta_plus, u_batch, w, config.alpha) if moved else state.theta_plus
+        return replace(state, theta_plus=theta, iteration=state.iteration + 1), moved, 0.0
+    moved = partition_clusters(w)[0].size > 0
+    if variant == "reject":
+        return reject_update(state, u_batch, w, config.alpha), moved, 0.0
+    state, s_i = accel_update(state, u_batch, w, J, config)
+    return state, moved, s_i
 
 
 def solve(
@@ -423,15 +413,14 @@ def solve(
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
     x_t = np.asarray(x_t, dtype=float)
     state = _initial_state(config, env.action_dim, prev)
-    wcfg = config.weights
+    two_sided = variant in ("reject", "accel")
+    weigh = forward_weights if variant == "forward" else signed_log_weights
 
     start = time.monotonic()
     iter_times: list[float] = []
     cost_trace: list[float] = []
-    best = math.inf
     s_final = 0.0
-    positive_updates = 0
-    all_zero_flag = False
+    moved_count = 0
     nonfinite_total = 0
 
     for i in range(1, config.max_iterations + 1):
@@ -441,69 +430,36 @@ def solve(
                 break
         t0 = time.monotonic()
         rng = _iteration_rng(seed, step, i)
-
-        if variant in ("reject", "accel"):
+        if two_sided:
             u_batch = compose_and_sample(
                 state.theta_plus, state.theta_minus,
                 config.n_oversample, config.n_candidates, config.kappa, rng,
             )
         else:
             u_batch = sample_batch(state.theta_plus, config.n_candidates, rng)
-        u_sq = squash(u_batch, env.action_low, env.action_high)
-        J = _evaluate_costs(env, x_t, u_sq, config.rollout_threads)
+        J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
 
         finite = np.isfinite(J)
         if not finite.all():
             nonfinite_total += int((~finite).sum())
             ceiling = J[finite].max() if finite.any() else 0.0
             J = np.where(finite, J, ceiling + config.nonfinite_penalty)
-        best = min(best, float(J.min()))
         cost_trace.append(float(J.min()))
 
-        if variant == "forward":
-            w = forward_weights(J, wcfg)
-            theta, zero = forward_update(
-                state.theta_plus, u_batch, w, config.alpha, config.sigma_floor
-            )
-            all_zero_flag |= zero
-            if not zero:
-                positive_updates += 1
-            state = replace(state, theta_plus=theta, iteration=state.iteration + 1)
-        elif variant == "reverse":
-            lnH = signed_log_weights(J, wcfg)
-            if np.any(lnH != 0.0):
-                theta = reverse_update(
-                    state.theta_plus, u_batch, lnH, config.alpha,
-                    sigma_floor=config.sigma_floor,
-                )
-                positive_updates += 1
-            else:
-                theta = state.theta_plus
-            state = replace(state, theta_plus=theta, iteration=state.iteration + 1)
-        elif variant == "reject":
-            lnH = signed_log_weights(J, wcfg)
-            if partition_clusters(lnH)[0].size:
-                positive_updates += 1
-            state = reject_update(state, u_batch, lnH, config.alpha, config.sigma_floor)
-        else:  # accel
-            lnH = signed_log_weights(J, wcfg)
-            if partition_clusters(lnH)[0].size:
-                positive_updates += 1
-            state, s_final = accel_update(state, u_batch, lnH, J, config)
-
+        state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)
+        moved_count += moved
         iter_times.append(time.monotonic() - t0)
 
     u_first = squash(state.theta_plus.mu, env.action_low, env.action_high)[:, 0]
     result = ControlResult(
         u=u_first,
         iterations=len(iter_times),
-        best_cost=best,
+        best_cost=min(cost_trace),
         wall_time=time.monotonic() - start,
         noise_strength_final=s_final,
         iteration_times=tuple(iter_times),
         cost_trace=tuple(cost_trace),
-        no_positive_update=(positive_updates == 0),
-        all_zero_weights=all_zero_flag,
+        no_positive_update=(moved_count == 0),
         nonfinite_candidates=nonfinite_total,
     )
     return result, state

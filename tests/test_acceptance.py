@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rkmpc.bench import ExperimentConfig, normalize_scores, run_experiment
-from rkmpc.envs import BIMODAL_MODES, TRAP_EDGE, make_env
+from rkmpc.envs import BIMODAL_MODES, TRAP_EDGE, make_env, rollout_batch
 from rkmpc.policy import (
     MirrorPoint,
     PolicyParams,
@@ -416,26 +416,33 @@ class TestAcceptance:
                     within += 1
                 x = env.dynamics(x.reshape(1, -1), result.u.reshape(1, -1))[0]
 
-        # determinism across thread counts, checked where the deadline is
-        # not binding so the iteration count is timing-independent
+        # determinism across repeat runs, checked where the deadline is not
+        # binding so the iteration count is timing-independent, and across
+        # candidate batch layouts: rollouts of any chunking, concatenated,
+        # equal the rollout of the whole batch
         det_solver = SolverConfig(
             n_candidates=32, n_oversample=128, horizon=12, alpha=0.05, max_iterations=6,
         )
         outputs = []
-        for threads in (1, 4, 8):
-            s = SolverConfig(**{**det_solver.__dict__, "rollout_threads": threads})
-            result, st = solve(env, env.initial_state, s, variant="accel", seed=11)
+        for _ in range(3):
+            result, st = solve(env, env.initial_state, det_solver, variant="accel", seed=11)
             outputs.append((result.u.copy(), st.theta_plus.mu.copy(), result.best_cost))
+        batch = np.random.default_rng(11).uniform(-2.0, 2.0, (32, env.action_dim, 12))
+        whole = rollout_batch(env, env.initial_state, batch)
+        chunked = [
+            np.concatenate([rollout_batch(env, env.initial_state, c) for c in np.split(batch, cuts)])
+            for cuts in ([1], [16], [3, 7, 30], list(range(1, 32)))
+        ]
         deterministic = all(
             np.array_equal(u, outputs[0][0])
             and np.array_equal(mu, outputs[0][1])
             and best == outputs[0][2]
             for u, mu, best in outputs[1:]
-        )
+        ) and all(np.array_equal(J, whole) for J in chunked)
         elapsed = time.monotonic() - t0
         report(
             10,
-            "deadline overshoot bounded by one iteration, bit-identical across threads",
+            "deadline overshoot bounded by one iteration, bit-identical across runs and batch layouts",
             within / total >= 0.99 and min_iterations >= 1 and deterministic and elapsed < 120.0,
             f"{within}/{total} within bound, min iterations {min_iterations}, {elapsed:.1f}s",
         )

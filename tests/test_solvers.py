@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rkmpc.envs import make_env
+from rkmpc.envs import make_env, rollout_batch
 from rkmpc.policy import (
+    SIGMA_FLOOR,
     MirrorPoint,
     PolicyParams,
     kl_divergence,
@@ -578,7 +579,7 @@ class TestSolve:
         )
         result, state = solve(env, env.initial_state, config, variant=variant, seed=3)
         assert abs(result.u[0] - 0.5) < 0.1
-        assert np.all(state.theta_plus.sigma >= config.sigma_floor)
+        assert np.all(state.theta_plus.sigma >= SIGMA_FLOOR)
 
     def test_best_cost_trend_over_seeds(self):
         env = make_env("quadratic_bowl")
@@ -590,17 +591,23 @@ class TestSolve:
         avg = np.mean(traces, axis=0)
         assert np.all(np.diff(avg) <= 1e-12)
 
-    def test_bit_identical_across_runs_and_threads(self):
+    def test_bit_identical_across_runs_and_batch_layouts(self):
         env = make_env("pendulum_swingup")
+        config = quick_config(horizon=8, max_iterations=5)
         results = []
-        for threads in (1, 4, 8):
-            config = quick_config(horizon=8, max_iterations=5, rollout_threads=threads)
+        for _ in range(3):
             result, state = solve(env, env.initial_state, config, variant="accel", seed=7)
             results.append((result.u.copy(), state.theta_plus.mu.copy(), result.best_cost))
         for u, mu, best in results[1:]:
             assert np.array_equal(u, results[0][0])
             assert np.array_equal(mu, results[0][1])
             assert best == results[0][2]
+        # a candidate's cost does not depend on which batch it is rolled out in
+        batch = np.random.default_rng(7).uniform(-2.0, 2.0, (33, env.action_dim, 8))
+        whole = rollout_batch(env, env.initial_state, batch)
+        for cuts in ([1], [16], [5, 6, 20, 32], list(range(1, 33))):
+            chunks = [rollout_batch(env, env.initial_state, c) for c in np.split(batch, cuts)]
+            assert np.array_equal(np.concatenate(chunks), whole)
 
     def test_zero_deadline_single_iteration(self):
         env = make_env("quadratic_bowl")
@@ -639,9 +646,8 @@ class TestSolve:
         for variant in ("forward", "reverse", "reject", "accel"):
             config = quick_config(max_iterations=30, horizon=1)
             _, state = solve(env, env.initial_state, config, variant=variant, seed=5)
-            assert np.all(state.theta_plus.sigma >= config.sigma_floor)
-            if state.theta_minus is not None:
-                assert np.all(state.theta_minus.sigma >= config.sigma_floor)
+            assert np.all(state.theta_plus.sigma >= SIGMA_FLOOR)
+            assert np.all(state.theta_minus.sigma >= SIGMA_FLOOR)
 
     def test_warm_start_chains_steps(self):
         env = make_env("point_reacher")
