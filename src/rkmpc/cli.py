@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import replace
@@ -92,39 +91,32 @@ def _merged(args: argparse.Namespace) -> dict:
     return out
 
 
+def _given(values: dict, **fields: str) -> dict:
+    """The given values keyed by dataclass field, from field=key pairs."""
+    return {name: values[key] for name, key in fields.items() if key in values}
+
+
 def build_config(values: dict) -> ExperimentConfig:
+    """Only the keys given are passed on, so the dataclasses own the defaults."""
     try:
-        weights = WeightConfig(
-            backend=values.get("backend", "mppi"),
-            quantile=values.get("quantile", 0.01),
-            temperature=values.get("temperature", 1.0),
-            beta=values.get("beta", 1.0),
+        weights = _given(
+            values, backend="backend", quantile="quantile", temperature="temperature", beta="beta",
         )
-        n = values.get("candidates", 32)
-        deadline_ms = values.get("deadline_ms")
-        solver = SolverConfig(
-            n_candidates=n,
-            n_oversample=values.get("oversample", 4 * n),
-            horizon=values.get("horizon", 12),
-            alpha=values.get("alpha", 0.05),
-            gamma=values.get("gamma", 0.5),
-            eta=values.get("eta", 0.25),
-            kappa=values.get("kappa", 1.0),
-            weights=weights,
-            deadline=math.inf if deadline_ms is None else deadline_ms / 1000.0,
-            max_iterations=values.get("iterations", 32),
+        solver = _given(
+            values, n_candidates="candidates", n_oversample="oversample", horizon="horizon",
+            alpha="alpha", gamma="gamma", eta="eta", kappa="kappa", max_iterations="iterations",
         )
-        seeds = values.get("seed", "0")
-        if isinstance(seeds, str):
-            seeds = tuple(int(s) for s in seeds.split(","))
-        return ExperimentConfig(
-            env=values.get("env", "quadratic_bowl"),
-            variant=values.get("solver", "accel"),
-            solver=solver,
-            episode_steps=values.get("steps", 20),
-            seeds=seeds,
-            output_dir=values.get("output"),
+        if "n_candidates" in solver:
+            solver.setdefault("n_oversample", 4 * solver["n_candidates"])
+        if "deadline_ms" in values:
+            solver["deadline"] = values["deadline_ms"] / 1000.0
+        experiment = _given(
+            values, env="env", variant="solver", episode_steps="steps", seeds="seed", output_dir="output",
         )
+        if isinstance(experiment.get("seeds"), str):
+            experiment["seeds"] = tuple(int(s) for s in experiment["seeds"].split(","))
+        solver_config = SolverConfig(weights=WeightConfig(**weights), **solver)
+        return ExperimentConfig(solver=solver_config, **experiment)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -56,14 +56,14 @@ class RolloutResult:
     J: float
     states: np.ndarray  # (H + 2, state_dim): x_t .. x_{t+H+1}
     violations: int
-    nonfinite: bool = False
 
 
 def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.ndarray:
     """Costs J for a batch of squashed action sequences, shape (N, A, H).
 
     J = terminal(x_{t+H+1}) + sum_tau [ stage(x, u) + penalty * max(0, c(x, u)) ].
-    Candidates hitting non-finite states get J = penalty * (H + 1).
+    A diverged candidate (non-finite cost or state) is marked J = +inf; what
+    it costs is decided by the solver, so J never depends on the batch.
     """
     n, _, horizon = u_squashed.shape
     x = np.broadcast_to(np.asarray(x_t, dtype=float), (n, env.state_dim)).copy()
@@ -74,19 +74,21 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
         J += env.constraint_penalty * np.maximum(0.0, env.constraint(x, u))
         x = env.dynamics(x, u)
     J += env.terminal_cost(x)
-    bad = ~np.isfinite(J) | ~np.all(np.isfinite(x), axis=1)
-    J[bad] = env.constraint_penalty * (horizon + 1)
+    J[~np.isfinite(J) | ~np.all(np.isfinite(x), axis=1)] = np.inf
     return J
 
 
 def rollout_cost(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> RolloutResult:
-    """Single-candidate rollout with the visited states and violation count."""
+    """Single-candidate rollout with the visited states and violation count.
+
+    Stops at the first non-finite state; a diverged candidate gets J = +inf,
+    as in `rollout_batch`.
+    """
     _, horizon = u_squashed.shape
     x = np.asarray(x_t, dtype=float).reshape(1, env.state_dim).copy()
     states = [x[0].copy()]
     J = 0.0
     violations = 0
-    nonfinite = False
     for tau in range(horizon):
         u = u_squashed[:, tau].reshape(1, env.action_dim)
         c = float(env.constraint(x, u)[0])
@@ -96,13 +98,12 @@ def rollout_cost(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> Rollo
         x = env.dynamics(x, u)
         states.append(x[0].copy())
         if not np.all(np.isfinite(x)):
-            nonfinite = True
             break
-    if nonfinite or not np.isfinite(J):
-        J = env.constraint_penalty * (horizon + 1)
     else:
         J += float(env.terminal_cost(x)[0])
-    return RolloutResult(J=float(J), states=np.array(states), violations=violations, nonfinite=nonfinite)
+    if not (np.isfinite(J) and np.all(np.isfinite(x))):
+        J = np.inf
+    return RolloutResult(J=float(J), states=np.array(states), violations=violations)
 
 
 def _no_constraint(x, u):

@@ -37,6 +37,8 @@ from .policy import (
 from .weights import WeightConfig, forward_weights, partition_clusters, signed_log_weights
 
 VARIANTS = ("forward", "reverse", "reject", "accel")
+# Added to a batch's worst finite cost to price a diverged (J = +inf) candidate.
+NONFINITE_PENALTY = 1e6
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class SolverConfig:
     weights: WeightConfig = field(default_factory=WeightConfig)
     deadline: float = math.inf  # seconds of wall clock per control step
     max_iterations: int = 32
-    nonfinite_penalty: float = 1e6
 
     def __post_init__(self):
         if self.n_candidates < 2:
@@ -77,7 +78,6 @@ class SolverState:
     a_i: float = 0.0
     A_i: float = 0.0
     sigma_max_running: float = 0.0
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def reject_update(
         theta_plus = reverse_update(theta_plus, u_batch, lnH, alpha, c_plus)
     if c_minus.size:
         theta_minus = reverse_update(theta_minus, u_batch, -np.asarray(lnH), alpha, c_minus)
-    return replace(state, theta_plus=theta_plus, theta_minus=theta_minus, iteration=state.iteration + 1)
+    return replace(state, theta_plus=theta_plus, theta_minus=theta_minus)
 
 
 def selection_log_scores(
@@ -309,7 +309,6 @@ def accel_update(
         a_i=a_next,
         A_i=A_next,
         sigma_max_running=sigma_max,
-        iteration=state.iteration + 1,
     )
     return new_state, s_i
 
@@ -353,6 +352,10 @@ def _initial_state(
         theta1, a1, A1 = warm_start(prior, prior, config.alpha, 0.0, config.alpha)
         minus1 = prior
     else:
+        for name in ("theta_plus", "theta_minus"):
+            shape = getattr(prev, name).mu.shape
+            if shape != prior.mu.shape:
+                raise ValueError(f"prev.{name} has shape {shape}, expected {prior.mu.shape}")
         theta1, a1, A1 = warm_start(prev.theta_plus, prior, prev.a_i, config.eta, config.alpha)
         minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
     return SolverState(
@@ -362,7 +365,6 @@ def _initial_state(
         theta_tilde_minus=minus1,
         a_i=a1,
         A_i=A1,
-        iteration=1,
     )
 
 
@@ -381,11 +383,11 @@ def _update(
     """
     if variant == "forward":
         theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
-        return replace(state, theta_plus=theta, iteration=state.iteration + 1), not zero, 0.0
+        return replace(state, theta_plus=theta), not zero, 0.0
     if variant == "reverse":
         moved = bool(np.any(w != 0.0))
         theta = reverse_update(state.theta_plus, u_batch, w, config.alpha) if moved else state.theta_plus
-        return replace(state, theta_plus=theta, iteration=state.iteration + 1), moved, 0.0
+        return replace(state, theta_plus=theta), moved, 0.0
     moved = partition_clusters(w)[0].size > 0
     if variant == "reject":
         return reject_update(state, u_batch, w, config.alpha), moved, 0.0
@@ -407,7 +409,9 @@ def solve(
     Iterates sample -> rollout -> weight -> update until max_iterations, or
     until starting another iteration would be expected (from the running mean
     iteration time) to exceed the wall-clock deadline.  The first iteration
-    always runs.
+    always runs.  A diverged candidate (J = +inf) is counted in
+    nonfinite_candidates and costs its batch's worst finite cost (0 if none)
+    plus NONFINITE_PENALTY.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
@@ -443,7 +447,7 @@ def solve(
         if not finite.all():
             nonfinite_total += int((~finite).sum())
             ceiling = J[finite].max() if finite.any() else 0.0
-            J = np.where(finite, J, ceiling + config.nonfinite_penalty)
+            J = np.where(finite, J, ceiling + NONFINITE_PENALTY)
         cost_trace.append(float(J.min()))
 
         state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)

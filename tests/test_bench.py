@@ -153,6 +153,13 @@ class TestBuildConfig:
         assert config.solver.horizon == 12
         assert config.seeds == (0,)
 
+    def test_defaults_come_from_dataclasses(self):
+        assert build_config({}) == ExperimentConfig()
+        config = build_config({"candidates": 10, "beta": 0.5})
+        assert config.solver.n_oversample == 40
+        assert config.solver.weights == WeightConfig(beta=0.5)
+        assert config.solver.horizon == SolverConfig().horizon
+
     def test_deadline_ms_converted(self):
         config = build_config({"deadline_ms": 20.0})
         assert config.solver.deadline == pytest.approx(0.02)

@@ -85,11 +85,11 @@ class TestRolloutCost:
             terminal_cost=lambda x: np.zeros(x.shape[0]),
             constraint=lambda x, u: np.full(x.shape[0], -1.0),
         )
+        # both rollouts only mark divergence; the solver decides its cost
         res = rollout_cost(env, np.ones(1), np.zeros((1, 6)))
-        assert res.nonfinite
-        assert res.J == env.constraint_penalty * 7
+        assert res.J == np.inf
         J = rollout_batch(env, np.ones(1), np.zeros((2, 1, 6)))
-        assert np.all(J == env.constraint_penalty * 7)
+        assert np.all(J == np.inf)
 
     def test_constraint_penalty_applied(self):
         env = EnvSpec(

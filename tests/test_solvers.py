@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rkmpc.envs import make_env, rollout_batch
+from rkmpc.envs import EnvSpec, make_env, rollout_batch
 from rkmpc.policy import (
     SIGMA_FLOOR,
     MirrorPoint,
@@ -35,6 +35,25 @@ from rkmpc.weights import WeightConfig, forward_weights, partition_clusters, sig
 
 def params_1d(mu, sigma):
     return PolicyParams(np.array([[float(mu)]]), np.array([[float(sigma)]]))
+
+
+DIVERGING_VIOLATION = 5.0
+
+
+def diverging_env():
+    """Any positive action sends the state to +inf; every finite rollout
+    violates the constraint by DIVERGING_VIOLATION at each step."""
+    return EnvSpec(
+        name="diverging",
+        state_dim=1,
+        action_dim=1,
+        action_low=np.array([-1.0]),
+        action_high=np.array([1.0]),
+        dynamics=lambda x, u: np.where(u > 0.0, np.inf, x),
+        stage_cost=lambda x, u: np.zeros(x.shape[0]),
+        terminal_cost=lambda x: np.zeros(x.shape[0]),
+        constraint=lambda x, u: np.full(x.shape[0], DIVERGING_VIOLATION),
+    )
 
 
 class TestForwardUpdate:
@@ -176,7 +195,6 @@ class TestRejectUpdate:
             theta_tilde_minus=params_1d(0.0, 1.0),
             a_i=0.05,
             A_i=0.05,
-            iteration=1,
         )
 
     def test_beta_zero_never_updates_minus(self):
@@ -602,12 +620,19 @@ class TestSolve:
             assert np.array_equal(u, results[0][0])
             assert np.array_equal(mu, results[0][1])
             assert best == results[0][2]
-        # a candidate's cost does not depend on which batch it is rolled out in
-        batch = np.random.default_rng(7).uniform(-2.0, 2.0, (33, env.action_dim, 8))
-        whole = rollout_batch(env, env.initial_state, batch)
-        for cuts in ([1], [16], [5, 6, 20, 32], list(range(1, 33))):
-            chunks = [rollout_batch(env, env.initial_state, c) for c in np.split(batch, cuts)]
-            assert np.array_equal(np.concatenate(chunks), whole)
+        # a candidate's cost, +inf marks of diverged ones included, does not
+        # depend on which batch it is rolled out in
+        rng = np.random.default_rng(7)
+        diverging = diverging_env()
+        for e, batch in (
+            (env, rng.uniform(-2.0, 2.0, (33, env.action_dim, 8))),
+            (diverging, rng.uniform(-1.0, 1.0, (33, diverging.action_dim, 4))),
+        ):
+            whole = rollout_batch(e, e.initial_state, batch)
+            for cuts in ([1], [16], [5, 6, 20, 32], list(range(1, 33))):
+                chunks = [rollout_batch(e, e.initial_state, c) for c in np.split(batch, cuts)]
+                assert np.array_equal(np.concatenate(chunks), whole)
+        assert np.isinf(whole).any() and np.isfinite(whole).any()
 
     def test_zero_deadline_single_iteration(self):
         env = make_env("quadratic_bowl")
@@ -622,24 +647,17 @@ class TestSolve:
         assert result.iterations >= 1
         assert result.wall_time <= 0.02 + max(result.iteration_times) + 0.01
 
-    def test_nonfinite_costs_replaced_and_flagged(self, monkeypatch):
-        # the rollout layer normally sanitizes J, so inject the bad values
-        # just past it to exercise the solver-side guard
-        import rkmpc.solvers as solvers_mod
-
-        real = solvers_mod.rollout_batch
-
-        def corrupt(env, x_t, u):
-            J = real(env, x_t, u)
-            J[::3] = np.inf
-            return J
-
-        monkeypatch.setattr(solvers_mod, "rollout_batch", corrupt)
-        env = make_env("quadratic_bowl")
-        config = quick_config(max_iterations=3, horizon=1)
-        result, _ = solve(env, env.initial_state, config, variant="forward", seed=2)
+    @pytest.mark.parametrize("variant", ["forward", "reverse", "reject", "accel"])
+    def test_diverged_candidates_rank_below_finite(self, variant):
+        # a diverged rollout must cost more than any finite one, even one
+        # that violates the constraint at every step
+        env = diverging_env()
+        config = quick_config(horizon=4, max_iterations=20)
+        result, _ = solve(env, env.initial_state, config, variant=variant, seed=0)
+        finite_cost = config.horizon * DIVERGING_VIOLATION * env.constraint_penalty
         assert result.nonfinite_candidates > 0
-        assert math.isfinite(result.best_cost)
+        assert result.best_cost == pytest.approx(finite_cost)
+        assert result.u[0] < 0.0
 
     def test_sigma_floor_maintained_all_variants(self):
         env = make_env("quadratic_bowl")
@@ -657,5 +675,17 @@ class TestSolve:
         for step in range(3):
             result, state = solve(env, x, config, variant="accel", prev=state, seed=9, step=step)
             x = env.dynamics(x.reshape(1, -1), result.u.reshape(1, -1))[0]
-        assert state.iteration > 1
+        assert result.iterations == config.max_iterations
         assert state.a_i > config.alpha
+
+    @pytest.mark.parametrize(
+        "env_name, horizon, expected",
+        [("point_reacher", 4, r"\(2, 4\)"), ("quadratic_bowl", 6, r"\(1, 6\)")],
+        ids=["action_dim", "horizon"],
+    )
+    def test_prev_of_wrong_shape_rejected(self, env_name, horizon, expected):
+        bowl = make_env("quadratic_bowl")
+        _, state = solve(bowl, bowl.initial_state, quick_config(max_iterations=2))
+        env = make_env(env_name)
+        with pytest.raises(ValueError, match=r"prev.theta_plus has shape \(1, 4\), expected " + expected):
+            solve(env, env.initial_state, quick_config(horizon=horizon), prev=state, step=1)
