@@ -1,9 +1,9 @@
 """`bench` command line: run / sweep / compare.
 
 Configuration comes from an INI-style file (sections [experiment], [solver],
-[weights]) with CLI flags overriding file values.  Output goes to --output,
-falling back to the BENCH_OUTPUT_DIR environment variable, then the current
-directory.
+[weights]) whose keys are the long flag names, with CLI flags overriding file
+values.  Output goes to --output, falling back to the BENCH_OUTPUT_DIR
+environment variable, then the current directory.
 """
 
 from __future__ import annotations
@@ -57,38 +57,38 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", default="bench", help="output file stem")
 
 
-def _file_values(path: str | None) -> dict:
-    values: dict = {}
-    if path is None:
-        return values
+def _file_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The INI file's values keyed by flag dest.
+
+    Keys are long flag names (`deadline-ms` or `deadline_ms`); a key that
+    names no flag of this subcommand is an error, not silently dropped.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    for section in parser.sections():
-        for key, raw in parser[section].items():
-            values[key.replace("-", "_")] = raw
+    dests = {
+        opt[2:]: action.dest
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and action.dest not in ("help", "config")
+    }
+    ini = configparser.ConfigParser()
+    ini.read(path)
+    values = {}
+    for section in ini.sections():
+        for key, raw in ini[section].items():
+            flag = key.replace("_", "-")
+            if flag not in dests:
+                raise ConfigError(f"{path}: [{section}] key {key!r} is not a flag of this command")
+            values[dests[flag]] = raw
     return values
 
 
-_FLOAT_KEYS = {"alpha", "beta", "gamma", "eta", "kappa", "quantile", "temperature", "deadline_ms"}
-_INT_KEYS = {"horizon", "candidates", "oversample", "iterations", "steps"}
-
-
 def _merged(args: argparse.Namespace) -> dict:
-    merged = _file_values(args.config)
-    for key, value in vars(args).items():
-        if value is not None and key not in ("config", "command", "func"):
-            merged[key] = value
-    out = {}
-    for key, value in merged.items():
-        if key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("config", "command", "func")
+    }
 
 
 def _given(values: dict, **fields: str) -> dict:
@@ -205,6 +205,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # file values become the subcommand's defaults, so each is
+            # converted by its flag's own type and a given flag overrides it
+            command = sub.choices[args.command]
+            command.set_defaults(**_file_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,25 +56,6 @@ def standard_prior(action_dim: int, horizon: int) -> PolicyParams:
     return PolicyParams(np.zeros(shape), np.ones(shape))
 
 
-@dataclass(frozen=True)
-class MirrorPoint:
-    """Image of PolicyParams in the mirror space anchored at a reference policy."""
-
-    z_mu: np.ndarray
-    z_sigma: np.ndarray
-    reference: PolicyParams
-
-    def __post_init__(self):
-        z_mu = np.asarray(self.z_mu, dtype=float)
-        z_sigma = np.asarray(self.z_sigma, dtype=float)
-        if z_mu.shape != self.reference.mu.shape or z_sigma.shape != self.reference.mu.shape:
-            raise ValueError("mirror point shape does not match reference")
-        if not (np.all(np.isfinite(z_mu)) and np.all(np.isfinite(z_sigma))):
-            raise ValueError("mirror point entries must be finite")
-        object.__setattr__(self, "z_mu", z_mu)
-        object.__setattr__(self, "z_sigma", z_sigma)
-
-
 def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` pre-squash action sequences, shape (count, A, H)."""
     if count < 1:
@@ -125,34 +106,39 @@ def kl_divergence(theta: PolicyParams, theta_i: PolicyParams) -> float:
     return float(0.5 * terms.sum())
 
 
-def mirror_map(theta: PolicyParams, theta_i: PolicyParams) -> MirrorPoint:
-    """Map theta into the mirror space defined by the KL geometry at theta_i."""
+def mirror_map(theta: PolicyParams, theta_i: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Map theta into the mirror space defined by the KL geometry at theta_i.
+
+    Returns the mirror point (z_mu, z_sigma), two arrays of theta's shape.
+    """
     if theta.mu.shape != theta_i.mu.shape:
         raise ValueError("parameter shapes must match")
     var_i = theta_i.sigma**2
-    z_mu = theta.mu / var_i
-    z_sigma = theta.sigma / var_i - 1.0 / theta.sigma
-    return MirrorPoint(z_mu, z_sigma, theta_i)
+    return theta.mu / var_i, theta.sigma / var_i - 1.0 / theta.sigma
 
 
-def mirror_inverse(z: MirrorPoint) -> PolicyParams:
-    """Invert the mirror map back to policy parameters; sigma is always > 0.
+def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, theta_i: PolicyParams) -> PolicyParams:
+    """Invert the mirror map at theta_i back to policy parameters.
 
+    sigma is floored at SIGMA_FLOOR.  A non-finite mirror point is rejected
+    here: z_sigma = -inf would otherwise come back as sigma = SIGMA_FLOOR.
     For z_sigma < 0 the textbook quadratic-root form cancels catastrophically,
     so the conjugate form 2*sigma_i / (sqrt(...) - sigma_i*z) is used there.
     np.hypot keeps sqrt(sigma_i^2 z^2 + 4) from overflowing for large |z|.
     """
-    ref = z.reference
-    var_i = ref.sigma**2
-    mu = var_i * z.z_mu
-    sz = ref.sigma * z.z_sigma
+    if np.shape(z_mu) != theta_i.mu.shape or np.shape(z_sigma) != theta_i.mu.shape:
+        raise ValueError("mirror point shape does not match reference")
+    if not (np.all(np.isfinite(z_mu)) and np.all(np.isfinite(z_sigma))):
+        raise ValueError("mirror point entries must be finite")
+    var_i = theta_i.sigma**2
+    sz = theta_i.sigma * z_sigma
     root = np.hypot(sz, 2.0)  # sqrt(sigma_i^2 z_sigma^2 + 4)
     # root - sz underflows to 0 for huge positive z_sigma; that branch is
     # discarded by the where, so silence the spurious division warning
     with np.errstate(divide="ignore"):
         sigma = np.where(
-            z.z_sigma >= 0.0,
-            0.5 * (var_i * z.z_sigma + ref.sigma * root),
-            2.0 * ref.sigma / (root - sz),
+            z_sigma >= 0.0,
+            0.5 * (var_i * z_sigma + theta_i.sigma * root),
+            2.0 * theta_i.sigma / (root - sz),
         )
-    return PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR))
+    return PolicyParams(var_i * z_mu, np.maximum(sigma, SIGMA_FLOOR))

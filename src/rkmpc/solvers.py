@@ -25,7 +25,6 @@ import numpy as np
 from .envs import EnvSpec, rollout_batch
 from .policy import (
     SIGMA_FLOOR,
-    MirrorPoint,
     PolicyParams,
     log_density,
     mirror_inverse,
@@ -67,6 +66,8 @@ class SolverConfig:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if self.horizon < 1 or self.max_iterations < 1:
             raise ValueError("horizon and max_iterations must be >= 1")
+        if not self.deadline >= 0.0:
+            raise ValueError(f"deadline must be >= 0 seconds (inf for none), got {self.deadline}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,8 @@ def reverse_update(
     if cluster is None:
         cluster = np.arange(u_batch.shape[0])
     g_mu, g_sigma = md_gradient(theta_i, u_batch, lnH, cluster)
-    z = mirror_map(theta_i, theta_i)
-    z_new = MirrorPoint(z.z_mu - alpha * g_mu, z.z_sigma - alpha * g_sigma, theta_i)
-    out = mirror_inverse(z_new)
-    return PolicyParams(out.mu, np.maximum(out.sigma, SIGMA_FLOOR))
+    z_mu, z_sigma = mirror_map(theta_i, theta_i)
+    return mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta_i)
 
 
 def reject_update(
@@ -261,9 +260,8 @@ def agd_plus_step(
     """
     if anchor is None:
         anchor = theta_i
-    zt = mirror_map(theta_tilde_prev, anchor)
-    z_new = MirrorPoint(zt.z_mu - a_i * g_mu, zt.z_sigma - a_i * g_sigma, anchor)
-    tilde = mirror_inverse(z_new)
+    z_mu, z_sigma = mirror_map(theta_tilde_prev, anchor)
+    tilde = mirror_inverse(z_mu - a_i * g_mu, z_sigma - a_i * g_sigma, anchor)
     w_keep = A_i / A_next
     w_new = a_next / A_next
     w_mom = a_i / A_next
@@ -404,7 +402,8 @@ def solve(
     seed: int = 0,
     step: int = 0,
 ) -> tuple[ControlResult, SolverState]:
-    """Optimize one control step and return the first squashed action.
+    """Optimize one control step from the finite state x_t, shape (state_dim,),
+    and return the first squashed action.
 
     Iterates sample -> rollout -> weight -> update until max_iterations, or
     until starting another iteration would be expected (from the running mean
@@ -416,6 +415,8 @@ def solve(
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
     x_t = np.asarray(x_t, dtype=float)
+    if x_t.shape != (env.state_dim,) or not np.all(np.isfinite(x_t)):
+        raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")
     state = _initial_state(config, env.action_dim, prev)
     two_sided = variant in ("reject", "accel")
     weigh = forward_weights if variant == "forward" else signed_log_weights

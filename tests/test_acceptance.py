@@ -17,7 +17,6 @@ import pytest
 from rkmpc.bench import ExperimentConfig, normalize_scores, run_experiment
 from rkmpc.envs import BIMODAL_MODES, TRAP_EDGE, make_env, rollout_batch
 from rkmpc.policy import (
-    MirrorPoint,
     PolicyParams,
     kl_divergence,
     log_density,
@@ -54,7 +53,7 @@ class TestAcceptance:
         shape = (100, 1000)  # 1e5 element pairs in one vectorized object
         theta = PolicyParams(rng.normal(0, 3, shape), rng.uniform(0.05, 20.0, shape))
         ref = PolicyParams(rng.normal(0, 3, shape), rng.uniform(0.05, 20.0, shape))
-        back = mirror_inverse(mirror_map(theta, ref))
+        back = mirror_inverse(*mirror_map(theta, ref), ref)
         ok_round = np.allclose(back.mu, theta.mu, rtol=1e-9, atol=1e-12) and np.allclose(
             back.sigma, theta.sigma, rtol=1e-9
         )
@@ -63,8 +62,7 @@ class TestAcceptance:
         for _ in range(200):
             r = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.1, 10.0, (2, 3)))
             scale = 10.0 ** rng.uniform(-3, 9)
-            z = MirrorPoint(rng.normal(0, 1, (2, 3)), rng.normal(0, scale, (2, 3)), r)
-            out = mirror_inverse(z)
+            out = mirror_inverse(rng.normal(0, 1, (2, 3)), rng.normal(0, scale, (2, 3)), r)
             ok_positive &= bool(np.all(out.sigma > 0.0) and np.all(np.isfinite(out.sigma)))
 
         # finite differences of the closed-form divergence; the map matches
@@ -74,8 +72,8 @@ class TestAcceptance:
         for _ in range(20):
             th = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.5, 3.0, (2, 3)))
             r = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.5, 3.0, (2, 3)))
-            z = mirror_map(th, r)
-            z0 = mirror_map(r, r)
+            z_mu, z_sigma = mirror_map(th, r)
+            z0_mu, z0_sigma = mirror_map(r, r)
             for idx in np.ndindex(th.mu.shape):
                 mu_p, mu_m = th.mu.copy(), th.mu.copy()
                 mu_p[idx] += h
@@ -84,7 +82,7 @@ class TestAcceptance:
                     kl_divergence(PolicyParams(mu_p, th.sigma), r)
                     - kl_divergence(PolicyParams(mu_m, th.sigma), r)
                 ) / (2 * h)
-                ok_fd &= abs(fd - (z.z_mu[idx] - z0.z_mu[idx])) <= 1e-6 * max(1.0, abs(fd))
+                ok_fd &= abs(fd - (z_mu[idx] - z0_mu[idx])) <= 1e-6 * max(1.0, abs(fd))
                 sg_p, sg_m = th.sigma.copy(), th.sigma.copy()
                 sg_p[idx] += h
                 sg_m[idx] -= h
@@ -92,7 +90,7 @@ class TestAcceptance:
                     kl_divergence(PolicyParams(th.mu, sg_p), r)
                     - kl_divergence(PolicyParams(th.mu, sg_m), r)
                 ) / (2 * h)
-                ok_fd &= abs(fd - (z.z_sigma[idx] - z0.z_sigma[idx])) <= 1e-6 * max(1.0, abs(fd))
+                ok_fd &= abs(fd - (z_sigma[idx] - z0_sigma[idx])) <= 1e-6 * max(1.0, abs(fd))
         elapsed = time.monotonic() - t0
         report(
             1,
@@ -131,8 +129,7 @@ class TestAcceptance:
         grads = [(rng.normal(0, 0.3, (2, 3)), rng.normal(0, 0.1, (2, 3))) for _ in range(100)]
 
         # oracle A: three-variable form keeping a running weighted average
-        z = mirror_map(theta1, anchor)
-        z_mu, z_sg = z.z_mu.copy(), z.z_sigma.copy()
+        z_mu, z_sg = mirror_map(theta1, anchor)
         y_mu, y_sg = theta1.mu.copy(), theta1.sigma.copy()
         orig = []
         A_prev = 0.0
@@ -142,7 +139,7 @@ class TestAcceptance:
             A_next = A_i + a_next
             z_mu -= a_i * g_mu
             z_sg -= a_i * g_sg
-            inv = mirror_inverse(MirrorPoint(z_mu, z_sg, anchor))
+            inv = mirror_inverse(z_mu, z_sg, anchor)
             y_mu = (A_prev / A_i) * y_mu + (a_i / A_i) * inv.mu
             y_sg = (A_prev / A_i) * y_sg + (a_i / A_i) * inv.sigma
             orig.append(
@@ -154,8 +151,7 @@ class TestAcceptance:
             A_prev = A_i
 
         # oracle B: momentum form carrying theta and the previous dual point
-        z = mirror_map(theta1, anchor)
-        z_mu, z_sg = z.z_mu.copy(), z.z_sigma.copy()
+        z_mu, z_sg = mirror_map(theta1, anchor)
         inv_prev, theta = theta1, theta1
         mom = []
         A_prev = 0.0
@@ -165,7 +161,7 @@ class TestAcceptance:
             A_next = A_i + a_next
             z_mu -= a_i * g_mu
             z_sg -= a_i * g_sg
-            inv = mirror_inverse(MirrorPoint(z_mu, z_sg, anchor))
+            inv = mirror_inverse(z_mu, z_sg, anchor)
             theta = PolicyParams(
                 (A_i / A_next) * theta.mu
                 + (a_next / A_next) * inv.mu

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -173,6 +174,8 @@ class TestBuildConfig:
             build_config({"alpha": -1.0})
         with pytest.raises(ConfigError):
             build_config({"solver": "simplex"})
+        with pytest.raises(ConfigError, match="deadline"):
+            build_config({"deadline_ms": math.nan})
 
 
 class TestCli:
@@ -203,18 +206,30 @@ class TestCli:
         with open(stem + "_results.csv") as fh:
             assert fh.read() == first_run
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
+    def test_config_file_with_flag_override(self, tmp_path, capsys, monkeypatch):
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[experiment]\nenv = quadratic_bowl\nsolver = reverse\nsteps = 2\n"
             "[solver]\nhorizon = 2\ncandidates = 16\niterations = 2\n"
+            "[weights]\nlambda = 0.3\n"
         )
+        configs = []
+        monkeypatch.setattr("rkmpc.cli.run_experiment", lambda c: configs.append(c) or run_experiment(c))
         code = main([
             "run", "--config", str(ini), "--solver", "accel",
             "--output", str(tmp_path),
         ])
         assert code == 0
         assert os.path.exists(tmp_path / "bench_quadratic_bowl_accel_results.csv")
+        assert configs[0].solver.horizon == 2
+        assert configs[0].solver.weights.quantile == 0.3
+
+    def test_config_file_unknown_key(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[solver]\ncanddiates = 7\n")
+        code = main(["run", "--config", str(ini), "--steps", "1", "--iterations", "1", "--output", str(tmp_path)])
+        assert code == 2
+        assert "'canddiates' is not a flag" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini")])

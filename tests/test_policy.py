@@ -3,7 +3,6 @@ import pytest
 
 from rkmpc.policy import (
     SIGMA_FLOOR,
-    MirrorPoint,
     PolicyParams,
     kl_divergence,
     log_density,
@@ -167,21 +166,21 @@ class TestMirrorMaps:
     def test_unit_reference_scale(self):
         theta = random_params(np.random.default_rng(2))
         ref = PolicyParams(np.zeros(theta.mu.shape), np.ones(theta.mu.shape))
-        z = mirror_map(theta, ref)
-        assert np.allclose(z.z_mu, theta.mu)
+        z_mu, _ = mirror_map(theta, ref)
+        assert np.allclose(z_mu, theta.mu)
 
     def test_scale_fixed_point(self):
         p = random_params(np.random.default_rng(4))
-        z = mirror_map(p, p)
-        assert np.allclose(z.z_sigma, 0.0)
+        _, z_sigma = mirror_map(p, p)
+        assert np.allclose(z_sigma, 0.0)
 
     def test_hand_substitution(self):
-        z = mirror_map(params_1d(3.0, 1.0), params_1d(0.0, 2.0))
-        assert z.z_mu[0, 0] == pytest.approx(0.75, rel=1e-12)
+        z_mu, _ = mirror_map(params_1d(3.0, 1.0), params_1d(0.0, 2.0))
+        assert z_mu[0, 0] == pytest.approx(0.75, rel=1e-12)
 
     def test_inverse_fixed_point(self):
         ref = params_1d(0.0, 1.7)
-        out = mirror_inverse(MirrorPoint(np.zeros((1, 1)), np.zeros((1, 1)), ref))
+        out = mirror_inverse(np.zeros((1, 1)), np.zeros((1, 1)), ref)
         assert out.sigma[0, 0] == pytest.approx(1.7, rel=1e-12)
 
     def test_round_trip_randomized(self):
@@ -189,30 +188,25 @@ class TestMirrorMaps:
         for _ in range(300):
             theta = random_params(rng)
             ref = random_params(rng)
-            back = mirror_inverse(mirror_map(theta, ref))
+            back = mirror_inverse(*mirror_map(theta, ref), ref)
             assert np.allclose(back.mu, theta.mu, rtol=1e-9, atol=1e-12)
             assert np.allclose(back.sigma, theta.sigma, rtol=1e-9)
 
     def test_hand_round_trip(self):
         ref = params_1d(0.0, 2.0)
-        out = mirror_inverse(MirrorPoint(np.zeros((1, 1)), np.full((1, 1), 0.25), ref))
+        out = mirror_inverse(np.zeros((1, 1)), np.full((1, 1), 0.25), ref)
         expected = 0.5 * (1.0 + 2.0 * np.sqrt(4.25))
         assert out.sigma[0, 0] == pytest.approx(expected, rel=1e-12)
         assert out.sigma[0, 0] == pytest.approx(2.56155, abs=5e-6)
-        z = mirror_map(out, ref)
-        assert z.z_sigma[0, 0] == pytest.approx(0.25, rel=1e-9)
+        _, z_sigma = mirror_map(out, ref)
+        assert z_sigma[0, 0] == pytest.approx(0.25, rel=1e-9)
 
     def test_inverse_sigma_always_positive(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             ref = random_params(rng)
             scale = 10.0 ** rng.uniform(-3, 9)
-            z = MirrorPoint(
-                rng.normal(0, 1, ref.mu.shape),
-                rng.normal(0, scale, ref.mu.shape),
-                ref,
-            )
-            out = mirror_inverse(z)
+            out = mirror_inverse(rng.normal(0, 1, ref.mu.shape), rng.normal(0, scale, ref.mu.shape), ref)
             assert np.all(out.sigma > 0.0)
             assert np.all(np.isfinite(out.sigma))
 
@@ -224,8 +218,8 @@ class TestMirrorMaps:
         for _ in range(20):
             theta = random_params(rng, sigma_range=(0.5, 3.0))
             ref = random_params(rng, sigma_range=(0.5, 3.0))
-            z = mirror_map(theta, ref)
-            z0 = mirror_map(ref, ref)
+            z_mu, z_sigma = mirror_map(theta, ref)
+            z0_mu, z0_sigma = mirror_map(ref, ref)
             for idx in np.ndindex(theta.mu.shape):
                 mu_p, mu_m = theta.mu.copy(), theta.mu.copy()
                 mu_p[idx] += h
@@ -234,7 +228,7 @@ class TestMirrorMaps:
                     kl_divergence(PolicyParams(mu_p, theta.sigma), ref)
                     - kl_divergence(PolicyParams(mu_m, theta.sigma), ref)
                 ) / (2 * h)
-                assert fd == pytest.approx(z.z_mu[idx] - z0.z_mu[idx], rel=1e-6, abs=1e-8)
+                assert fd == pytest.approx(z_mu[idx] - z0_mu[idx], rel=1e-6, abs=1e-8)
                 sg_p, sg_m = theta.sigma.copy(), theta.sigma.copy()
                 sg_p[idx] += h
                 sg_m[idx] -= h
@@ -242,4 +236,4 @@ class TestMirrorMaps:
                     kl_divergence(PolicyParams(theta.mu, sg_p), ref)
                     - kl_divergence(PolicyParams(theta.mu, sg_m), ref)
                 ) / (2 * h)
-                assert fd == pytest.approx(z.z_sigma[idx] - z0.z_sigma[idx], rel=1e-6, abs=1e-8)
+                assert fd == pytest.approx(z_sigma[idx] - z0_sigma[idx], rel=1e-6, abs=1e-8)

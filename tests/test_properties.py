@@ -1,0 +1,56 @@
+"""Property tests of the paper's identities over extreme scales (hypothesis)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rkmpc.policy import PolicyParams, mirror_inverse, mirror_map
+from rkmpc.weights import WeightConfig, signed_log_weights
+
+MEANS = st.floats(-1e3, 1e3)
+SCALES = st.floats(1e-6, 1e3)
+
+
+def params_1d(mu, sigma):
+    return PolicyParams(np.array([[mu]]), np.array([[sigma]]))
+
+
+@settings(deadline=None)
+@given(mu=MEANS, sigma=SCALES, mu_ref=MEANS, sigma_ref=SCALES)
+def test_mirror_round_trip(mu, sigma, mu_ref, sigma_ref):
+    ref = params_1d(mu_ref, sigma_ref)
+    back = mirror_inverse(*mirror_map(params_1d(mu, sigma), ref), ref)
+    assert back.mu[0, 0] == pytest.approx(mu, rel=1e-9, abs=1e-12)
+    assert back.sigma[0, 0] == pytest.approx(sigma, rel=1e-9)
+
+
+@settings(deadline=None)
+@given(
+    backend=st.sampled_from(["cem", "mppi"]),
+    beta=st.floats(0.0, 1.0),
+    quantile=st.floats(0.01, 0.99),
+    offset=st.floats(-1e12, 1e12),
+    log_spread=st.floats(-12.0, 12.0),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=64),
+)
+def test_signed_weight_sum_at_extreme_cost_spreads(backend, beta, quantile, offset, log_spread, unit):
+    J = offset + 10.0**log_spread * np.array(unit)
+    config = WeightConfig(backend=backend, quantile=quantile, beta=beta)
+    n = J.size
+    assert signed_log_weights(J, config).sum() == pytest.approx((1.0 - beta) * n, abs=1e-9 * n)
+
+
+@settings(deadline=None)
+@given(
+    bad=st.sampled_from([-np.inf, np.inf, np.nan]),
+    in_sigma=st.booleans(),
+    index=st.tuples(st.integers(0, 1), st.integers(0, 2)),
+    sigma_ref=SCALES,
+)
+def test_nonfinite_mirror_point_rejected(bad, in_sigma, index, sigma_ref):
+    ref = PolicyParams(np.zeros((2, 3)), np.full((2, 3), sigma_ref))
+    z_mu, z_sigma = mirror_map(ref, ref)
+    (z_sigma if in_sigma else z_mu)[index] = bad
+    with pytest.raises(ValueError, match="mirror point entries must be finite"):
+        mirror_inverse(z_mu, z_sigma, ref)

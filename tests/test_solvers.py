@@ -6,7 +6,6 @@ import pytest
 from rkmpc.envs import EnvSpec, make_env, rollout_batch
 from rkmpc.policy import (
     SIGMA_FLOOR,
-    MirrorPoint,
     PolicyParams,
     kl_divergence,
     log_density,
@@ -364,18 +363,9 @@ class TestStepSizeAdvance:
             step_size_advance(0.0, 0.0, 0.0, 0.05, 0.5)
 
 
-def static_psi(theta, anchor):
-    return mirror_map(theta, anchor)
-
-
-def static_psi_inv(z_mu, z_sigma, anchor):
-    return mirror_inverse(MirrorPoint(z_mu, z_sigma, anchor))
-
-
 def agd_original_oracle(theta1, anchor, grads, alpha):
     """Three-variable AGD+ recursion on a static mirror space (test oracle)."""
-    z = static_psi(theta1, anchor)
-    z_mu, z_sigma = z.z_mu.copy(), z.z_sigma.copy()
+    z_mu, z_sigma = mirror_map(theta1, anchor)
     y_mu, y_sigma = theta1.mu.copy(), theta1.sigma.copy()
     theta = theta1
     out = [theta1]
@@ -387,7 +377,7 @@ def agd_original_oracle(theta1, anchor, grads, alpha):
         A_next = A_i + a_next
         z_mu = z_mu - a_i * g_mu
         z_sigma = z_sigma - a_i * g_sigma
-        inv = static_psi_inv(z_mu, z_sigma, anchor)
+        inv = mirror_inverse(z_mu, z_sigma, anchor)
         y_mu = (A_prev / A_i) * y_mu + (a_i / A_i) * inv.mu
         y_sigma = (A_prev / A_i) * y_sigma + (a_i / A_i) * inv.sigma
         theta = PolicyParams(
@@ -401,8 +391,7 @@ def agd_original_oracle(theta1, anchor, grads, alpha):
 
 def agd_momentum_oracle(theta1, anchor, grads, alpha):
     """Momentum-form AGD+ recursion on a static mirror space (test oracle)."""
-    z = static_psi(theta1, anchor)
-    z_mu, z_sigma = z.z_mu.copy(), z.z_sigma.copy()
+    z_mu, z_sigma = mirror_map(theta1, anchor)
     inv_prev = theta1
     theta = theta1
     out = [theta1]
@@ -414,7 +403,7 @@ def agd_momentum_oracle(theta1, anchor, grads, alpha):
         A_next = A_i + a_next
         z_mu = z_mu - a_i * g_mu
         z_sigma = z_sigma - a_i * g_sigma
-        inv = static_psi_inv(z_mu, z_sigma, anchor)
+        inv = mirror_inverse(z_mu, z_sigma, anchor)
         theta = PolicyParams(
             (A_i / A_next) * theta.mu + (a_next / A_next) * inv.mu + (a_i / A_next) * (inv.mu - inv_prev.mu),
             (A_i / A_next) * theta.sigma
@@ -498,10 +487,8 @@ class TestAcceleration:
         plain = []
         for _ in range(400):
             g_mu, g_sigma = quadratic_gradient(theta)
-            z = mirror_map(theta, theta)
-            theta = mirror_inverse(
-                MirrorPoint(z.z_mu - alpha * g_mu, z.z_sigma - alpha * g_sigma, theta)
-            )
+            z_mu, z_sigma = mirror_map(theta, theta)
+            theta = mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta)
             plain.append(theta)
 
         theta, tilde = start, start
@@ -689,3 +676,18 @@ class TestSolve:
         env = make_env(env_name)
         with pytest.raises(ValueError, match=r"prev.theta_plus has shape \(1, 4\), expected " + expected):
             solve(env, env.initial_state, quick_config(horizon=horizon), prev=state, step=1)
+
+    @pytest.mark.parametrize(
+        "x_t, shape",
+        [(3.14, r"\(\)"), (np.zeros(3), r"\(3,\)"), (np.array([np.nan, 0.0]), r"\(2,\)")],
+        ids=["scalar", "length", "nan"],
+    )
+    def test_x_t_of_wrong_shape_or_nonfinite_rejected(self, x_t, shape):
+        env = make_env("pendulum_swingup")
+        with pytest.raises(ValueError, match=r"x_t must be finite with shape \(2,\), got shape " + shape):
+            solve(env, x_t, quick_config(max_iterations=2))
+
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0])
+    def test_nan_or_negative_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="deadline must be >= 0"):
+            SolverConfig(deadline=deadline)
