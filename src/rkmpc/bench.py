@@ -13,10 +13,8 @@ import os
 from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
 
-import numpy as np
-
-from .envs import EnvSpec, make_env, rollout_cost
-from .solvers import VARIANTS, ControlResult, SolverConfig, SolverState, solve
+from .envs import EnvSpec, make_env, rollout_batch
+from .solvers import VARIANTS, SolverConfig, SolverState, solve
 from .policy import squash
 
 SWEEPABLE = ("kappa", "gamma", "beta", "alpha")
@@ -77,7 +75,7 @@ def run_episode(env: EnvSpec, config: ExperimentConfig, seed: int) -> EpisodeRec
             prev=state, seed=seed, step=step,
         )
         mean_seq = squash(state.theta_plus.mu, env.action_low, env.action_high)
-        chosen = rollout_cost(env, x, mean_seq).J
+        chosen = float(rollout_batch(env, x, mean_seq[None])[0])
         u = result.u.reshape(1, env.action_dim)
         xb = x.reshape(1, env.state_dim)
         realized = float(env.stage_cost(xb, u)[0])

@@ -61,7 +61,8 @@ def _file_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """The INI file's values keyed by flag dest.
 
     Keys are long flag names (`deadline-ms` or `deadline_ms`); a key that
-    names no flag of this subcommand is an error, not silently dropped.
+    names no flag of this subcommand is an error, not silently dropped, and
+    so is a file configparser cannot parse.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -71,8 +72,11 @@ def _file_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
         for opt in action.option_strings
         if opt.startswith("--") and action.dest not in ("help", "config")
     }
-    ini = configparser.ConfigParser()
-    ini.read(path)
+    ini = configparser.ConfigParser(interpolation=None)  # a `%` is read literally
+    try:
+        ini.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     values = {}
     for section in ini.sections():
         for key, raw in ini[section].items():

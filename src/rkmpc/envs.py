@@ -47,15 +47,7 @@ class EnvSpec:
     terminal_cost: Callable[[np.ndarray], np.ndarray]
     constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraint_penalty: float = DEFAULT_PENALTY
-    dt: float = DEFAULT_DT
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-
-@dataclass(frozen=True)
-class RolloutResult:
-    J: float
-    states: np.ndarray  # (H + 2, state_dim): x_t .. x_{t+H+1}
-    violations: int
 
 
 def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.ndarray:
@@ -76,34 +68,6 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     J += env.terminal_cost(x)
     J[~np.isfinite(J) | ~np.all(np.isfinite(x), axis=1)] = np.inf
     return J
-
-
-def rollout_cost(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> RolloutResult:
-    """Single-candidate rollout with the visited states and violation count.
-
-    Stops at the first non-finite state; a diverged candidate gets J = +inf,
-    as in `rollout_batch`.
-    """
-    _, horizon = u_squashed.shape
-    x = np.asarray(x_t, dtype=float).reshape(1, env.state_dim).copy()
-    states = [x[0].copy()]
-    J = 0.0
-    violations = 0
-    for tau in range(horizon):
-        u = u_squashed[:, tau].reshape(1, env.action_dim)
-        c = float(env.constraint(x, u)[0])
-        if c > 0.0:
-            violations += 1
-        J += float(env.stage_cost(x, u)[0]) + env.constraint_penalty * max(0.0, c)
-        x = env.dynamics(x, u)
-        states.append(x[0].copy())
-        if not np.all(np.isfinite(x)):
-            break
-    else:
-        J += float(env.terminal_cost(x)[0])
-    if not (np.isfinite(J) and np.all(np.isfinite(x))):
-        J = np.inf
-    return RolloutResult(J=float(J), states=np.array(states), violations=violations)
 
 
 def _no_constraint(x, u):
@@ -195,7 +159,6 @@ def point_reacher(goal=(0.6, -0.4)) -> EnvSpec:
         stage_cost=stage,
         terminal_cost=terminal,
         constraint=_no_constraint,
-        dt=dt,
         initial_state=np.zeros(4),
     )
 
@@ -239,7 +202,6 @@ def pendulum_swingup() -> EnvSpec:
         stage_cost=stage,
         terminal_cost=terminal,
         constraint=_no_constraint,
-        dt=dt,
         initial_state=np.array([np.pi, 0.0]),
     )
 

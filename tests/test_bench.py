@@ -231,6 +231,24 @@ class TestCli:
         assert code == 2
         assert "'canddiates' is not a flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("[experiment]\nname = run%1\n", 0),
+            ("horizon = 2\n[solver]\n", 2),
+            ("[solver]\nhorizon = 2\nhorizon = 3\n", 2),
+        ],
+        ids=["percent_is_literal", "key_above_section", "duplicate_key"],
+    )
+    def test_config_file_read_literally_or_rejected(self, tmp_path, capsys, text, code):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        assert main(self.run_args(tmp_path, extra=["--config", str(ini)])) == code
+        if code == 0:
+            assert (tmp_path / "run%1_quadratic_bowl_forward_results.csv").exists()
+        else:
+            assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini")])
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from rkmpc.envs import (
     BIMODAL_DEPTHS,
     BIMODAL_MODES,
+    DEFAULT_DT,
     EnvSpec,
     PENDULUM_GRAVITY,
     TRAP_COST,
@@ -11,7 +12,6 @@ from rkmpc.envs import (
     bimodal_valley_cost,
     make_env,
     rollout_batch,
-    rollout_cost,
     trap_corridor_cost,
 )
 
@@ -33,37 +33,31 @@ def zero_env():
 class TestRolloutCost:
     def test_zero_actions_zero_cost(self):
         env = zero_env()
-        res = rollout_cost(env, np.zeros(1), np.zeros((1, 5)))
-        assert res.J == 0.0
-        assert res.violations == 0
-        assert len(res.states) == 6
+        J = rollout_batch(env, np.zeros(1), np.zeros((3, 1, 5)))
+        assert np.array_equal(J, np.zeros(3))
 
     def test_double_integrator_closed_form(self):
-        # independent oracle: explicit python loop over the recursion
+        # independent oracle: an explicit python loop over the recursion, one
+        # candidate at a time.  Every action differs per candidate, per axis
+        # and per step, so a time or candidate indexing slip changes J.
         env = make_env("point_reacher")
-        horizon = 6
-        u_const = np.full((2, horizon), 0.3)
-        res = rollout_cost(env, np.zeros(4), u_const)
+        n, horizon = 5, 6
+        x0 = np.array([0.1, -0.2, 0.3, 0.05])
+        u = np.random.default_rng(0).uniform(-1, 1, (n, 2, horizon))
+        J = rollout_batch(env, x0, u)
 
         goal = np.array([0.6, -0.4])
-        pos, vel = np.zeros(2), np.zeros(2)
-        expected = 0.0
-        for _ in range(horizon):
+        for k in range(n):
+            pos, vel = x0[:2], x0[2:]
+            expected = 0.0
+            for tau in range(horizon):
+                d = pos - goal
+                expected += d @ d + 0.01 * (u[k, :, tau] @ u[k, :, tau])
+                pos = pos + DEFAULT_DT * vel
+                vel = vel + DEFAULT_DT * u[k, :, tau]
             d = pos - goal
-            expected += d @ d + 0.01 * (0.3**2 * 2)
-            pos = pos + env.dt * vel
-            vel = vel + env.dt * np.array([0.3, 0.3])
-        d = pos - goal
-        expected += 5.0 * (d @ d)
-        assert res.J == pytest.approx(expected, rel=1e-12)
-
-    def test_batch_matches_single(self):
-        env = make_env("pendulum_swingup")
-        rng = np.random.default_rng(0)
-        u = rng.uniform(-2, 2, (8, 1, 12))
-        J = rollout_batch(env, env.initial_state, u)
-        for n in range(8):
-            assert rollout_cost(env, env.initial_state, u[n]).J == pytest.approx(J[n], rel=1e-12)
+            expected += 5.0 * (d @ d)
+            assert J[k] == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariance(self):
         env = make_env("point_reacher")
@@ -85,9 +79,7 @@ class TestRolloutCost:
             terminal_cost=lambda x: np.zeros(x.shape[0]),
             constraint=lambda x, u: np.full(x.shape[0], -1.0),
         )
-        # both rollouts only mark divergence; the solver decides its cost
-        res = rollout_cost(env, np.ones(1), np.zeros((1, 6)))
-        assert res.J == np.inf
+        # the rollout only marks divergence; the solver decides its cost
         J = rollout_batch(env, np.ones(1), np.zeros((2, 1, 6)))
         assert np.all(J == np.inf)
 
@@ -104,9 +96,10 @@ class TestRolloutCost:
             constraint=lambda x, u: u[:, 0] - 0.5,  # feasible iff u <= 0.5
             constraint_penalty=100.0,
         )
-        res = rollout_cost(env, np.zeros(1), np.full((1, 3), 0.7))
-        assert res.violations == 3
-        assert res.J == pytest.approx(3 * 100.0 * 0.2)
+        u = np.array([np.full((1, 3), 0.7), np.full((1, 3), 0.3)])
+        J = rollout_batch(env, np.zeros(1), u)
+        assert J[0] == pytest.approx(3 * 100.0 * 0.2)
+        assert J[1] == 0.0
 
 
 class TestBuiltinLandscapes:

@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ def diverging_env():
         terminal_cost=lambda x: np.zeros(x.shape[0]),
         constraint=lambda x, u: np.full(x.shape[0], DIVERGING_VIOLATION),
     )
+
+
+def sleeping_env(seconds):
+    """quadratic_bowl whose dynamics sleep `seconds` per call, so one rollout
+    of horizon H, and so one solver iteration, takes at least H * seconds."""
+
+    def dynamics(x, u):
+        time.sleep(seconds)
+        return x
+
+    return replace(make_env("quadratic_bowl"), name="sleeping", dynamics=dynamics)
 
 
 class TestForwardUpdate:
@@ -633,6 +646,22 @@ class TestSolve:
         result, _ = solve(env, env.initial_state, config, variant="accel", seed=1)
         assert result.iterations >= 1
         assert result.wall_time <= 0.02 + max(result.iteration_times) + 0.01
+
+    @pytest.mark.parametrize("deadline", [0.0, 0.005, 0.05])
+    def test_deadline_contract_with_sleeping_rollouts(self, deadline):
+        # every iteration sleeps 3 * 2 ms in the dynamics, so how many fit in
+        # the deadline does not depend on the speed of the machine
+        sleep, horizon, max_iterations = 0.002, 3, 10**6
+        env = sleeping_env(sleep)
+        config = quick_config(horizon=horizon, deadline=deadline, max_iterations=max_iterations)
+        result, _ = solve(env, env.initial_state, config, variant="accel", seed=0)
+        assert min(result.iteration_times) >= horizon * sleep
+        if deadline < horizon * sleep:
+            assert result.iterations == 1
+        else:
+            assert 2 <= result.iterations < max_iterations
+        # overshoot is at most one iteration, plus the loop's own bookkeeping
+        assert result.wall_time <= deadline + max(result.iteration_times) + 0.002
 
     @pytest.mark.parametrize("variant", ["forward", "reverse", "reject", "accel"])
     def test_diverged_candidates_rank_below_finite(self, variant):
