@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
 
@@ -26,6 +25,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _csv(header: list[str], rows) -> str:
+    """The one CSV dialect of every table (header row first, `\\n` line ends);
+    the byte-identical results files depend on it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     env: str = "quadratic_bowl"
@@ -33,7 +42,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     episode_steps: int = 20
     seeds: tuple[int, ...] = (0,)
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -113,28 +121,20 @@ def result_header(action_dim: int) -> list[str]:
 
 def results_csv(records: list[EpisodeRecord]) -> str:
     """Deterministic per-step results table (no wall-clock columns)."""
-    action_dim = len(records[0].rows[0].u)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result_header(action_dim))
-    for rec in records:
-        for row in rec.rows:
-            writer.writerow(
-                [rec.seed, row.step, row.iterations]
-                + [_fmt(v) for v in row.u]
-                + [_fmt(row.chosen_cost), _fmt(row.realized_cost), _fmt(row.noise_strength), _fmt(row.a_i)]
-            )
-    return buf.getvalue()
+    return _csv(
+        result_header(len(records[0].rows[0].u)),
+        (
+            [rec.seed, row.step, row.iterations]
+            + [_fmt(v) for v in row.u]
+            + [_fmt(row.chosen_cost), _fmt(row.realized_cost), _fmt(row.noise_strength), _fmt(row.a_i)]
+            for rec in records
+            for row in rec.rows
+        ),
+    )
 
 
 def timing_csv(records: list[EpisodeRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TIMING_HEADER)
-    for rec in records:
-        for row in rec.rows:
-            writer.writerow([rec.seed, row.step, _fmt(row.wall_time)])
-    return buf.getvalue()
+    return _csv(TIMING_HEADER, ([rec.seed, row.step, _fmt(row.wall_time)] for rec in records for row in rec.rows))
 
 
 def normalize_scores(totals: dict[str, list[float]]) -> tuple[dict[str, list[float]], bool]:
@@ -176,22 +176,14 @@ def ablation_sweeps(
 
 
 def summary_csv(rows: list[tuple[float, float, float]], param: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([param, "mean_total_reward", "std_total_reward"])
-    for value, m, s in rows:
-        writer.writerow([_fmt(value), _fmt(m), _fmt(s)])
-    return buf.getvalue()
+    return _csv([param, "mean_total_reward", "std_total_reward"], ([_fmt(v), _fmt(m), _fmt(s)] for v, m, s in rows))
 
 
 def compare_csv(normalized: dict[str, list[float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "seed_index", "normalized_score"])
-    for method, scores in normalized.items():
-        for idx, score in enumerate(scores):
-            writer.writerow([method, idx, _fmt(score)])
-    return buf.getvalue()
+    return _csv(
+        ["method", "seed_index", "normalized_score"],
+        ([method, idx, _fmt(score)] for method, scores in normalized.items() for idx, score in enumerate(scores)),
+    )
 
 
 def gnuplot_script(csv_name: str, title: str, out_name: str) -> str:
@@ -209,7 +201,3 @@ def gnuplot_script(csv_name: str, title: str, out_name: str) -> str:
             "",
         ]
     )
-
-
-def default_output_dir() -> str:
-    return os.environ.get("BENCH_OUTPUT_DIR", ".")

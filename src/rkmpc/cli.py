@@ -18,7 +18,6 @@ from .bench import (
     ExperimentConfig,
     ablation_sweeps,
     compare_csv,
-    default_output_dir,
     gnuplot_script,
     normalize_scores,
     results_csv,
@@ -110,13 +109,9 @@ def build_config(values: dict) -> ExperimentConfig:
             values, n_candidates="candidates", n_oversample="oversample", horizon="horizon",
             alpha="alpha", gamma="gamma", eta="eta", kappa="kappa", max_iterations="iterations",
         )
-        if "n_candidates" in solver:
-            solver.setdefault("n_oversample", 4 * solver["n_candidates"])
         if "deadline_ms" in values:
             solver["deadline"] = values["deadline_ms"] / 1000.0
-        experiment = _given(
-            values, env="env", variant="solver", episode_steps="steps", seeds="seed", output_dir="output",
-        )
+        experiment = _given(values, env="env", variant="solver", episode_steps="steps", seeds="seed")
         if isinstance(experiment.get("seeds"), str):
             experiment["seeds"] = tuple(int(s) for s in experiment["seeds"].split(","))
         solver_config = SolverConfig(weights=WeightConfig(**weights), **solver)
@@ -125,8 +120,9 @@ def build_config(values: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _outdir(config: ExperimentConfig) -> str:
-    path = config.output_dir or default_output_dir()
+def _outdir(args: argparse.Namespace) -> str:
+    """--output (or the INI `output` key), then BENCH_OUTPUT_DIR, then `.`."""
+    path = args.output or os.environ.get("BENCH_OUTPUT_DIR", ".")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -136,11 +132,9 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(_merged(args))
+def cmd_run(args: argparse.Namespace, config: ExperimentConfig) -> int:
     records = run_experiment(config)
-    outdir = _outdir(config)
-    stem = os.path.join(outdir, f"{args.name}_{config.env}_{config.variant}")
+    stem = os.path.join(_outdir(args), f"{args.name}_{config.env}_{config.variant}")
     _write(stem + "_results.csv", results_csv(records))
     _write(stem + "_timing.csv", timing_csv(records))
     totals = [r.total_reward for r in records]
@@ -150,13 +144,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    values = _merged(args)
-    config = build_config(values)
+def cmd_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
     sweep_values = [float(v) for v in args.values.split(",")] if args.values else []
     rows = ablation_sweeps(config, args.param, sweep_values)
-    outdir = _outdir(config)
-    path = os.path.join(outdir, f"{args.name}_{config.env}_{config.variant}_{args.param}_sweep.csv")
+    path = os.path.join(_outdir(args), f"{args.name}_{config.env}_{config.variant}_{args.param}_sweep.csv")
     _write(path, summary_csv(rows, args.param))
     for value, m, s in rows:
         print(f"{args.param}={value:g}: {m:.6g} +/- {s:.6g}")
@@ -164,17 +155,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    values = _merged(args)
+def cmd_compare(args: argparse.Namespace, base: ExperimentConfig) -> int:
     solvers = (args.solvers or "forward,reverse,reject,accel").split(",")
     totals: dict[str, list[float]] = {}
-    base = build_config(values)
     for variant in solvers:
         config = replace(base, variant=variant.strip())
         records = run_experiment(config)
         totals[variant.strip()] = [r.total_reward for r in records]
     normalized, degenerate = normalize_scores(totals)
-    outdir = _outdir(base)
+    outdir = _outdir(args)
     csv_path = os.path.join(outdir, f"{args.name}_{base.env}_compare.csv")
     _write(csv_path, compare_csv(normalized))
     gp_path = os.path.join(outdir, f"{args.name}_{base.env}_compare.gp")
@@ -215,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             command = sub.choices[args.command]
             command.set_defaults(**_file_defaults(command, args.config))
             args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, build_config(_merged(args)))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -74,14 +74,14 @@ def _no_constraint(x, u):
     return np.full(x.shape[0], -1.0)
 
 
-def _static(name: str, action_cost: Callable[[np.ndarray], np.ndarray], low=-1.0, high=1.0) -> EnvSpec:
+def _static(name: str, action_cost: Callable[[np.ndarray], np.ndarray]) -> EnvSpec:
     """1-D static landscape: state is inert, cost depends on the action only."""
     return EnvSpec(
         name=name,
         state_dim=1,
         action_dim=1,
-        action_low=np.array([low]),
-        action_high=np.array([high]),
+        action_low=np.array([-1.0]),
+        action_high=np.array([1.0]),
         dynamics=lambda x, u: x,
         stage_cost=lambda x, u: action_cost(u[:, 0]),
         terminal_cost=lambda x: np.zeros(x.shape[0]),
@@ -131,9 +131,9 @@ def overlap_trap() -> EnvSpec:
     return _static("overlap_trap", overlap_trap_cost)
 
 
-def point_reacher(goal=(0.6, -0.4)) -> EnvSpec:
+def point_reacher() -> EnvSpec:
     """2-D point mass accelerating toward a goal; unimodal quadratic cost."""
-    goal_arr = np.asarray(goal, dtype=float)
+    goal = np.array([0.6, -0.4])
     dt = DEFAULT_DT
 
     def dynamics(x, u):
@@ -142,11 +142,11 @@ def point_reacher(goal=(0.6, -0.4)) -> EnvSpec:
         return np.concatenate([pos, vel], axis=1)
 
     def stage(x, u):
-        d = x[:, :2] - goal_arr
+        d = x[:, :2] - goal
         return (d * d).sum(axis=1) + 0.01 * (u * u).sum(axis=1)
 
     def terminal(x):
-        d = x[:, :2] - goal_arr
+        d = x[:, :2] - goal
         return 5.0 * (d * d).sum(axis=1)
 
     return EnvSpec(

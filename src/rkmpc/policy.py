@@ -42,10 +42,6 @@ class PolicyParams:
         object.__setattr__(self, "sigma", sigma)
 
     @property
-    def action_dim(self) -> int:
-        return self.mu.shape[0]
-
-    @property
     def horizon(self) -> int:
         return self.mu.shape[1]
 

@@ -43,7 +43,7 @@ NONFINITE_PENALTY = 1e6
 @dataclass(frozen=True)
 class SolverConfig:
     n_candidates: int = 32
-    n_oversample: int = 128  # used by reject / accel
+    n_oversample: int | None = None  # used by reject / accel; None means 4 * n_candidates
     horizon: int = 12
     alpha: float = 0.05
     gamma: float = 0.5
@@ -54,13 +54,15 @@ class SolverConfig:
     max_iterations: int = 32
 
     def __post_init__(self):
+        if self.n_oversample is None:
+            object.__setattr__(self, "n_oversample", 4 * self.n_candidates)
         if self.n_candidates < 2:
             raise ValueError(f"need n_candidates >= 2, got {self.n_candidates}")
         if self.n_oversample < self.n_candidates:
             raise ValueError("n_oversample must be >= n_candidates")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.gamma < 0.0 or self.kappa < 0.0:
+        if not (self.gamma >= 0.0 and self.kappa >= 0.0):
             raise ValueError("gamma and kappa must be >= 0")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")

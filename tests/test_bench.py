@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,15 @@ class TestBuildConfig:
         assert config.solver.weights == WeightConfig(beta=0.5)
         assert config.solver.horizon == SolverConfig().horizon
 
+    def test_oversample_defaults_to_four_n_in_library_and_cli(self):
+        assert SolverConfig(n_candidates=200).n_oversample == 800
+        assert SolverConfig(n_candidates=64).n_oversample == build_config({"candidates": 64}).solver.n_oversample == 256
+        assert SolverConfig(n_candidates=64, n_oversample=100).n_oversample == 100
+        assert build_config({"candidates": 64, "oversample": 100}).solver.n_oversample == 100
+        assert SolverConfig().n_oversample == 128
+        # a resolved value is a value: replace() keeps it rather than re-deriving it
+        assert replace(SolverConfig(n_candidates=16), n_candidates=32).n_oversample == 64
+
     def test_deadline_ms_converted(self):
         config = build_config({"deadline_ms": 20.0})
         assert config.solver.deadline == pytest.approx(0.02)
@@ -258,6 +268,30 @@ class TestCli:
         code = main(self.run_args(tmp_path, extra=["--alpha", "-0.5"]))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_kappa_exits_two(self, tmp_path, capsys):
+        code = main(self.run_args(tmp_path, extra=["--kappa", "nan"]))
+        assert code == 2
+        assert "gamma and kappa must be >= 0" in capsys.readouterr().err
+
+    def test_output_dir_is_flag_or_ini_then_env_then_cwd(self, tmp_path, capsys, monkeypatch):
+        args = self.run_args(tmp_path)
+        args = args[: args.index("--output")]
+        stem = "bench_quadratic_bowl_forward_results.csv"
+        monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path / "env"))
+        assert main(args) == 0
+        assert (tmp_path / "env" / stem).exists()
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\noutput = {tmp_path / 'ini'}\n")
+        assert main([*args, "--config", str(ini)]) == 0
+        assert (tmp_path / "ini" / stem).exists()
+        assert main([*args, "--config", str(ini), "--output", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / stem).exists()
+        monkeypatch.delenv("BENCH_OUTPUT_DIR")
+        monkeypatch.chdir(tmp_path / "flag")
+        (tmp_path / "flag" / stem).unlink()
+        assert main(args) == 0
+        assert (tmp_path / "flag" / stem).exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         code = main([

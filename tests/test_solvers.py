@@ -720,3 +720,27 @@ class TestSolve:
     def test_nan_or_negative_deadline_rejected(self, deadline):
         with pytest.raises(ValueError, match="deadline must be >= 0"):
             SolverConfig(deadline=deadline)
+
+    @pytest.mark.parametrize(
+        "config_cls, kwargs, match",
+        [
+            (SolverConfig, {"gamma": math.nan}, "gamma and kappa must be >= 0"),
+            (SolverConfig, {"kappa": math.nan}, "gamma and kappa must be >= 0"),
+            (WeightConfig, {"temperature": math.nan}, "temperature must be > 0"),
+            (SolverConfig, {"n_candidates": 1}, "n_candidates >= 2"),
+            (SolverConfig, {"n_candidates": 16, "n_oversample": 15}, "n_oversample must be >= n_candidates"),
+            (SolverConfig, {"gamma": -0.1}, "gamma and kappa must be >= 0"),
+            (SolverConfig, {"kappa": -1.0}, "gamma and kappa must be >= 0"),
+            (SolverConfig, {"eta": -0.1}, r"eta must be in \[0, 1\]"),
+            (SolverConfig, {"eta": 1.5}, r"eta must be in \[0, 1\]"),
+            (SolverConfig, {"horizon": 0}, "horizon and max_iterations must be >= 1"),
+            (SolverConfig, {"max_iterations": 0}, "horizon and max_iterations must be >= 1"),
+        ],
+        ids=[
+            "gamma_nan", "kappa_nan", "temperature_nan", "one_candidate", "oversample_below_n",
+            "gamma_negative", "kappa_negative", "eta_negative", "eta_above_one", "horizon_zero", "iterations_zero",
+        ],
+    )
+    def test_nan_or_out_of_range_setting_rejected(self, config_cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            config_cls(**kwargs)
