@@ -35,7 +35,13 @@ QUADRATIC_TARGET = 0.5
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Dynamics, costs, and bounds of one control task (batched callables)."""
+    """Dynamics, costs, and bounds of one control task (batched callables).
+
+    dynamics maps states (N, state_dim) and actions (N, action_dim) to the
+    next states; terminal_cost returns (N,).  stage_cost and constraint get
+    the rows of several steps at once, so they must be row-wise: one value
+    per row, from that row alone.  No callable may write to its inputs.
+    """
 
     name: str
     state_dim: int
@@ -50,23 +56,49 @@ class EnvSpec:
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
 
+# Rows per stage_cost / constraint call: a block of max(1, BLOCK_ROWS // N) steps.
+# One call over all H * N rows is slower at N = 1024 (temporaries leave the cache).
+BLOCK_ROWS = 4096
+
+
+def _checked(name: str, out, shape: tuple) -> np.ndarray:
+    if np.shape(out) != shape:
+        raise ValueError(f"env.{name} returned shape {np.shape(out)}, expected {shape}")
+    return out
+
+
 def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.ndarray:
     """Costs J for a batch of squashed action sequences, shape (N, A, H).
 
     J = terminal(x_{t+H+1}) + sum_tau [ stage(x, u) + penalty * max(0, c(x, u)) ].
+    dynamics runs once per step; stage_cost and constraint run once per block
+    of steps over all of its rows, and J is summed step by step.  Each
+    callable's output shape is checked, and a wrong one raises ValueError.
     A diverged candidate (non-finite cost or state) is marked J = +inf; what
     it costs is decided by the solver, so J never depends on the batch.
     """
-    n, _, horizon = u_squashed.shape
-    x = np.broadcast_to(np.asarray(x_t, dtype=float), (n, env.state_dim)).copy()
+    n, a, horizon = u_squashed.shape
+    block = max(1, BLOCK_ROWS // max(n, 1))
+    u_steps = np.ascontiguousarray(u_squashed.transpose(2, 0, 1))  # (H, N, A)
+    xs = np.empty((min(block, horizon) + 1, n, env.state_dim))  # one block of states
+    xs[0] = x_t
     J = np.zeros(n)
-    for tau in range(horizon):
-        u = u_squashed[:, :, tau]
-        J += env.stage_cost(x, u)
-        J += env.constraint_penalty * np.maximum(0.0, env.constraint(x, u))
-        x = env.dynamics(x, u)
-    J += env.terminal_cost(x)
-    J[~np.isfinite(J) | ~np.all(np.isfinite(x), axis=1)] = np.inf
+    for start in range(0, horizon, block):
+        steps = min(block, horizon - start)
+        for k in range(steps):
+            xs[k + 1] = _checked("dynamics", env.dynamics(xs[k], u_steps[start + k]), (n, env.state_dim))
+        rows = steps * n
+        x_rows = xs[:steps].reshape(rows, env.state_dim)
+        u_rows = u_steps[start : start + steps].reshape(rows, a)
+        stage = _checked("stage_cost", env.stage_cost(x_rows, u_rows), (rows,)).reshape(steps, n)
+        violation = _checked("constraint", env.constraint(x_rows, u_rows), (rows,))
+        penalty = (env.constraint_penalty * np.maximum(0.0, violation)).reshape(steps, n)
+        for k in range(steps):
+            J += stage[k]
+            J += penalty[k]
+        xs[0] = xs[steps]
+    J += _checked("terminal_cost", env.terminal_cost(xs[0]), (n,))
+    J[~np.isfinite(J) | ~np.isfinite(xs[0]).all(axis=1)] = np.inf
     return J
 
 
@@ -137,17 +169,21 @@ def point_reacher() -> EnvSpec:
     dt = DEFAULT_DT
 
     def dynamics(x, u):
-        pos = x[:, :2] + dt * x[:, 2:]
-        vel = x[:, 2:] + dt * u
-        return np.concatenate([pos, vel], axis=1)
+        out = np.empty(x.shape)
+        out[:, :2] = x[:, :2] + dt * x[:, 2:]
+        out[:, 2:] = x[:, 2:] + dt * u
+        return out
+
+    # squares written out: a .sum(axis=1) over a length-2 axis is 6x slower
+    def sq_dist(x):
+        d0, d1 = x[:, 0] - goal[0], x[:, 1] - goal[1]
+        return d0 * d0 + d1 * d1
 
     def stage(x, u):
-        d = x[:, :2] - goal
-        return (d * d).sum(axis=1) + 0.01 * (u * u).sum(axis=1)
+        return sq_dist(x) + 0.01 * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
 
     def terminal(x):
-        d = x[:, :2] - goal
-        return 5.0 * (d * d).sum(axis=1)
+        return 5.0 * sq_dist(x)
 
     return EnvSpec(
         name="point_reacher",
@@ -178,10 +214,10 @@ def pendulum_swingup() -> EnvSpec:
 
     def dynamics(x, u):
         phi, omega = x[:, 0], x[:, 1]
-        domega = PENDULUM_GRAVITY * np.sin(phi) + u[:, 0]
-        phi_next = phi + dt * omega
-        omega_next = omega + dt * domega
-        return np.stack([phi_next, omega_next], axis=1)
+        out = np.empty(x.shape)
+        out[:, 0] = phi + dt * omega
+        out[:, 1] = omega + dt * (PENDULUM_GRAVITY * np.sin(phi) + u[:, 0])
+        return out
 
     def wrap(phi):
         return (phi + np.pi) % (2.0 * np.pi) - np.pi

@@ -26,15 +26,16 @@ class PolicyParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
+        mu, sigma = np.asarray(self.mu, dtype=float), np.asarray(self.sigma, dtype=float)
+        if mu.ndim < 2 or sigma.ndim < 2:
+            mu, sigma = np.atleast_2d(mu, sigma)
         if mu.shape != sigma.shape:
             raise ValueError(f"mu shape {mu.shape} != sigma shape {sigma.shape}")
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"expected 2-D (action_dim, horizon) arrays, got {mu.shape}")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise ValueError("mu must be finite")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma < SIGMA_FLOOR):
+        if not np.isfinite(sigma).all() or (sigma < SIGMA_FLOOR).any():
             raise ValueError(f"sigma must be finite and >= {SIGMA_FLOOR}")
         mu.setflags(write=False)
         sigma.setflags(write=False)
@@ -68,11 +69,11 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     per-action-dim arrays of shape (A,), broadcast over the horizon axis.
     """
     u_raw = np.asarray(u_raw, dtype=float)
-    if not np.all(np.isfinite(u_raw)):
+    if not np.isfinite(u_raw).all():
         raise ValueError("squash input must be finite")
     low = np.asarray(low, dtype=float).reshape(-1, 1)
     high = np.asarray(high, dtype=float).reshape(-1, 1)
-    if np.any(low >= high):
+    if (low >= high).any():
         raise ValueError("action bounds require low < high per dimension")
     mid = 0.5 * (low + high)
     half = 0.5 * (high - low)
@@ -119,22 +120,20 @@ def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, theta_i: PolicyParams)
     sigma is floored at SIGMA_FLOOR.  A non-finite mirror point is rejected
     here: z_sigma = -inf would otherwise come back as sigma = SIGMA_FLOOR.
     For z_sigma < 0 the textbook quadratic-root form cancels catastrophically,
-    so the conjugate form 2*sigma_i / (sqrt(...) - sigma_i*z) is used there.
+    so the conjugate form 2*sigma_i / (sqrt(...) - sigma_i*z) is used there,
+    written with + |sigma_i*z|: equal where it is selected, and never 0.
     np.hypot keeps sqrt(sigma_i^2 z^2 + 4) from overflowing for large |z|.
     """
     if np.shape(z_mu) != theta_i.mu.shape or np.shape(z_sigma) != theta_i.mu.shape:
         raise ValueError("mirror point shape does not match reference")
-    if not (np.all(np.isfinite(z_mu)) and np.all(np.isfinite(z_sigma))):
+    if not (np.isfinite(z_mu).all() and np.isfinite(z_sigma).all()):
         raise ValueError("mirror point entries must be finite")
     var_i = theta_i.sigma**2
     sz = theta_i.sigma * z_sigma
     root = np.hypot(sz, 2.0)  # sqrt(sigma_i^2 z_sigma^2 + 4)
-    # root - sz underflows to 0 for huge positive z_sigma; that branch is
-    # discarded by the where, so silence the spurious division warning
-    with np.errstate(divide="ignore"):
-        sigma = np.where(
-            z_sigma >= 0.0,
-            0.5 * (var_i * z_sigma + theta_i.sigma * root),
-            2.0 * theta_i.sigma / (root - sz),
-        )
+    sigma = np.where(
+        z_sigma >= 0.0,
+        0.5 * (var_i * z_sigma + theta_i.sigma * root),
+        2.0 * theta_i.sigma / (root + np.abs(sz)),
+    )
     return PolicyParams(var_i * z_mu, np.maximum(sigma, SIGMA_FLOOR))

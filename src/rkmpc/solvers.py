@@ -134,8 +134,8 @@ def md_gradient(
     w = np.asarray(lnH, dtype=float)[cluster][:, None, None]
     diff = u - theta.mu
     var = theta.sigma**2
-    g_mu = (-w * diff / var).mean(axis=0)
-    g_sigma = (-w * (diff**2 - var) / (var * theta.sigma)).mean(axis=0)
+    g_mu = (-w * diff / var).sum(axis=0) / cluster.size
+    g_sigma = (-w * (diff**2 - var) / (var * theta.sigma)).sum(axis=0) / cluster.size
     return g_mu, g_sigma
 
 
@@ -211,7 +211,7 @@ def compose_and_sample(
     u_all = sample_batch(theta_plus, n_tilde, rng)
     scores = selection_log_scores(theta_plus, theta_minus, u_all, kappa)
     keys = scores + rng.gumbel(size=n_tilde)
-    chosen = np.sort(np.argsort(-keys, kind="stable")[:n])
+    chosen = np.sort(np.argpartition(-keys, n - 1)[:n])
     return u_all[chosen]
 
 
@@ -226,13 +226,14 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 2:
         raise ValueError("need at least two cost samples")
-    std = float(J.std())
-    mad = float(np.abs(J - J.mean()).mean())
+    dev = J - J.sum() / J.size  # what J.std() and J.mean() compute, without their wrappers
+    std = math.sqrt((dev * dev).sum() / J.size)
+    mad = float(np.abs(dev).sum() / J.size)
     new_max = max(sigma_max_running, mad)
     if std <= 0.0 or new_max <= 0.0:
         return 0.0, new_max
     s = (1.0 - mad / std) * (std / new_max)
-    return float(np.clip(s, 0.0, 1.0)), new_max
+    return min(max(s, 0.0), 1.0), new_max
 
 
 def step_size_advance(a_i: float, A_i: float, s_i: float, alpha: float, gamma: float) -> tuple[float, float]:
@@ -385,7 +386,7 @@ def _update(
         theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
         return replace(state, theta_plus=theta), not zero, 0.0
     if variant == "reverse":
-        moved = bool(np.any(w != 0.0))
+        moved = bool((w != 0.0).any())
         theta = reverse_update(state.theta_plus, u_batch, w, config.alpha) if moved else state.theta_plus
         return replace(state, theta_plus=theta), moved, 0.0
     moved = partition_clusters(w)[0].size > 0
@@ -417,7 +418,7 @@ def solve(
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
     x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (env.state_dim,) or not np.all(np.isfinite(x_t)):
+    if x_t.shape != (env.state_dim,) or not np.isfinite(x_t).all():
         raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")
     state = _initial_state(config, env.action_dim, prev)
     two_sided = variant in ("reject", "accel")

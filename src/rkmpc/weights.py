@@ -38,7 +38,7 @@ def _check_costs(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 1:
         raise ValueError("need at least one candidate cost")
-    if not np.all(np.isfinite(J)):
+    if not np.isfinite(J).all():
         raise ValueError("costs must be finite (fold violations into J as penalties first)")
     return J
 

@@ -1,12 +1,18 @@
+import dataclasses
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from rkmpc.envs import (
     BIMODAL_DEPTHS,
     BIMODAL_MODES,
+    BLOCK_ROWS,
     DEFAULT_DT,
     EnvSpec,
     PENDULUM_GRAVITY,
+    REGISTRY,
     TRAP_COST,
     TRAP_EDGE,
     bimodal_valley_cost,
@@ -100,6 +106,72 @@ class TestRolloutCost:
         J = rollout_batch(env, np.zeros(1), u)
         assert J[0] == pytest.approx(3 * 100.0 * 0.2)
         assert J[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "env_name, callable_name, bad, got",
+        [
+            ("quadratic_bowl", "dynamics", lambda x, u: x[:1], "(1, 1)"),
+            ("pendulum_swingup", "dynamics", lambda x, u: x[:, :1], "(5, 1)"),
+            ("pendulum_swingup", "stage_cost", lambda x, u: 1.0, "()"),
+            ("pendulum_swingup", "terminal_cost", lambda x: np.zeros(1), "(1,)"),
+            ("pendulum_swingup", "constraint", lambda x, u: np.zeros((x.shape[0], 1)), "(20, 1)"),
+        ],
+        ids=["dynamics_rows", "dynamics_columns", "stage_cost_scalar", "terminal_cost_one", "constraint_2d"],
+    )
+    def test_wrong_output_shape_rejected(self, env_name, callable_name, bad, got):
+        # broadcasting would otherwise hand every candidate the same cost, or
+        # fail deep inside numpy; the message names the callable and both shapes
+        env = dataclasses.replace(make_env(env_name), **{callable_name: bad})
+        with pytest.raises(ValueError, match=re.escape(f"env.{callable_name} returned shape {got}, expected")):
+            rollout_batch(env, env.initial_state, np.zeros((5, env.action_dim, 4)))
+
+
+def per_step_rollout(env, x_t, u):
+    """Reference rollout: every env callable once per step, J summed per step."""
+    n, _, horizon = u.shape
+    x = np.broadcast_to(np.asarray(x_t, dtype=float), (n, env.state_dim)).copy()
+    J = np.zeros(n)
+    for tau in range(horizon):
+        J += env.stage_cost(x, u[:, :, tau])
+        J += env.constraint_penalty * np.maximum(0.0, env.constraint(x, u[:, :, tau]))
+        x = env.dynamics(x, u[:, :, tau])
+    J += env.terminal_cost(x)
+    J[~np.isfinite(J) | ~np.isfinite(x).all(axis=1)] = np.inf
+    return J
+
+
+class TestBlockedRollout:
+    # (3, 5) is one block; at (300, 37) blocks of 13 steps end with 11; at
+    # (1024, 50) blocks of 4 steps end with 2
+    @pytest.mark.parametrize("n, horizon", [(3, 5), (300, 37), (1024, 50)])
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_matches_per_step_loop_bit_for_bit(self, name, n, horizon):
+        env = make_env(name)
+        rng = np.random.default_rng(n + horizon)
+        low, high = env.action_low[:, None], env.action_high[:, None]
+        u = rng.uniform(low, high, (n, env.action_dim, horizon))
+        x0 = env.initial_state + rng.uniform(-0.5, 0.5, env.state_dim)
+        assert np.array_equal(rollout_batch(env, x0, u), per_step_rollout(env, x0, u))
+
+    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (300, 37, 3), (1024, 50, 13)])
+    def test_call_counts(self, n, horizon, blocks):
+        assert blocks == -(-horizon // max(1, BLOCK_ROWS // n))
+        base = make_env("pendulum_swingup")
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(base, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        names = ("dynamics", "stage_cost", "terminal_cost", "constraint")
+        env = dataclasses.replace(base, **{name: counted(name) for name in names})
+        rollout_batch(env, env.initial_state, np.zeros((n, 1, horizon)))
+        assert calls == {"dynamics": horizon, "stage_cost": blocks, "constraint": blocks, "terminal_cost": 1}
 
 
 class TestBuiltinLandscapes:

@@ -3,6 +3,10 @@
 The files under tests/golden/ were written by `bench run` with the flags in
 CASES, using each variant; a refactor that keeps behaviour keeps every byte.
 A change that alters them on purpose regenerates them and says why.
+
+MULTI_BLOCK runs N * H = 9,000 candidate-steps per rollout, more than
+`rkmpc.envs.BLOCK_ROWS`, so `rollout_batch` evaluates the costs in several
+blocks of steps (6, 6 and a partial 3 at N = 600); the other cases fit in one.
 """
 
 from pathlib import Path
@@ -19,6 +23,8 @@ CASES = {
     "pendulum_swingup": [],
     "bimodal_valley": ["--backend", "cem", "--lambda", "0.1"],
 }
+MULTI_BLOCK = ["--env", "pendulum_swingup", "--solver", "accel", "--steps", "4", "--seed", "0",
+               "--iterations", "3", "--horizon", "15", "--candidates", "600"]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -27,4 +33,11 @@ def test_results_csv_matches_golden(tmp_path, env, variant):
     argv = ["run", "--env", env, "--solver", variant, *CASES[env], *COMMON, "--output", str(tmp_path), "--name", "golden"]
     assert main(argv) == 0
     name = f"golden_{env}_{variant}_results.csv"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_multi_block_results_csv_matches_golden(tmp_path):
+    argv = ["run", *MULTI_BLOCK, "--output", str(tmp_path), "--name", "golden_multiblock"]
+    assert main(argv) == 0
+    name = "golden_multiblock_pendulum_swingup_accel_results.csv"
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

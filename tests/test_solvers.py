@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rkmpc.envs import EnvSpec, make_env, rollout_batch
+from rkmpc.envs import BLOCK_ROWS, EnvSpec, make_env, rollout_batch
 from rkmpc.policy import (
     SIGMA_FLOOR,
     PolicyParams,
@@ -624,15 +624,22 @@ class TestSolve:
         # depend on which batch it is rolled out in
         rng = np.random.default_rng(7)
         diverging = diverging_env()
-        for e, batch in (
-            (env, rng.uniform(-2.0, 2.0, (33, env.action_dim, 8))),
-            (diverging, rng.uniform(-1.0, 1.0, (33, diverging.action_dim, 4))),
+        small_cuts = ([1], [16], [5, 6, 20, 32], list(range(1, 33)))
+        # 600 x 15 runs in blocks of 6 steps; chunks of 273 and 274 candidates
+        # straddle BLOCK_ROWS (4,095 rows in one block, 4,110 in blocks of 14)
+        straddling = ([273, 547],)
+        assert 273 * 15 <= BLOCK_ROWS < 274 * 15
+        for e, batch, cut_lists in (
+            (env, rng.uniform(-2.0, 2.0, (33, env.action_dim, 8)), small_cuts),
+            (diverging, rng.uniform(-1.0, 1.0, (33, diverging.action_dim, 4)), small_cuts),
+            (env, rng.uniform(-2.0, 2.0, (600, env.action_dim, 15)), straddling),
         ):
             whole = rollout_batch(e, e.initial_state, batch)
-            for cuts in ([1], [16], [5, 6, 20, 32], list(range(1, 33))):
+            for cuts in cut_lists:
                 chunks = [rollout_batch(e, e.initial_state, c) for c in np.split(batch, cuts)]
                 assert np.array_equal(np.concatenate(chunks), whole)
-        assert np.isinf(whole).any() and np.isfinite(whole).any()
+            if e is diverging:
+                assert np.isinf(whole).any() and np.isfinite(whole).any()
 
     def test_zero_deadline_single_iteration(self):
         env = make_env("quadratic_bowl")
