@@ -26,7 +26,8 @@ class PolicyParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu, sigma = np.asarray(self.mu, dtype=float), np.asarray(self.sigma, dtype=float)
+        # Frozen copies: freezing the caller's own arrays would make them read-only.
+        mu, sigma = np.array(self.mu, float), np.array(self.sigma, float)
         if mu.ndim < 2 or sigma.ndim < 2:
             mu, sigma = np.atleast_2d(mu, sigma)
         if mu.shape != sigma.shape:
@@ -57,8 +58,9 @@ def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> 
     """Draw `count` pre-squash action sequences, shape (count, A, H)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    noise = rng.standard_normal((count,) + params.mu.shape)
-    return params.mu + params.sigma * noise
+    u = params.sigma * rng.standard_normal((count,) + params.mu.shape)
+    u += params.mu
+    return u
 
 
 def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -77,7 +79,10 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         raise ValueError("action bounds require low < high per dimension")
     mid = 0.5 * (low + high)
     half = 0.5 * (high - low)
-    return mid + half * np.tanh(u_raw)
+    out = np.tanh(u_raw)
+    out *= half
+    out += mid
+    return out
 
 
 def log_density(params: PolicyParams, u_raw: np.ndarray) -> np.ndarray:
@@ -88,9 +93,12 @@ def log_density(params: PolicyParams, u_raw: np.ndarray) -> np.ndarray:
     terms so high-dimensional joints never underflow.
     """
     u_raw = np.asarray(u_raw, dtype=float)
-    z = (u_raw - params.mu) / params.sigma
-    per_entry = -0.5 * LOG_2PI - np.log(params.sigma) - 0.5 * z * z
-    return per_entry.sum(axis=(-2, -1))
+    z = u_raw - params.mu
+    z /= params.sigma
+    z *= z
+    z *= 0.5  # (z*z)*0.5 == (0.5*z)*z: scaling by 2**-1 is exact above the subnormals
+    np.subtract(-0.5 * LOG_2PI - np.log(params.sigma), z, out=z)
+    return z.sum(axis=(-2, -1))
 
 
 def kl_divergence(theta: PolicyParams, theta_i: PolicyParams) -> float:

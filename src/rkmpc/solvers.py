@@ -108,8 +108,12 @@ def forward_update(
     if total <= 0.0:
         return theta_i, True
     wc = w[:, None, None] / total
-    mu_star = (wc * u_batch).sum(axis=0)
-    var_star = (wc * (u_batch - mu_star) ** 2).sum(axis=0)
+    tmp = wc * u_batch
+    mu_star = tmp.sum(axis=0)
+    np.subtract(u_batch, mu_star, out=tmp)
+    tmp *= tmp
+    tmp *= wc
+    var_star = tmp.sum(axis=0)
     sigma_star = np.sqrt(var_star)
     mu = (1.0 - alpha) * theta_i.mu + alpha * mu_star
     sigma = (1.0 - alpha) * theta_i.sigma + alpha * sigma_star
@@ -134,8 +138,14 @@ def md_gradient(
     w = np.asarray(lnH, dtype=float)[cluster][:, None, None]
     diff = u - theta.mu
     var = theta.sigma**2
-    g_mu = (-w * diff / var).sum(axis=0) / cluster.size
-    g_sigma = (-w * (diff**2 - var) / (var * theta.sigma)).sum(axis=0) / cluster.size
+    t = -w * diff
+    t /= var
+    g_mu = t.sum(axis=0) / cluster.size
+    diff *= diff
+    diff -= var
+    diff *= -w
+    diff /= var * theta.sigma
+    g_sigma = diff.sum(axis=0) / cluster.size
     return g_mu, g_sigma
 
 

@@ -49,11 +49,10 @@ def _backend_weights(J: np.ndarray, config: WeightConfig, total: float, quantile
     if total == 0.0:
         return np.zeros(n)
     if config.backend == "cem":
-        # Nearest-rank quantile: k = ceil(q * N) elites; threshold ties broken
-        # by candidate index via the stable sort.
-        k = math.ceil(quantile * n)
-        if k < 1:
-            raise ValueError("quantile selects no candidate")
+        # Nearest-rank quantile: k = ceil(q * N) elites, at least one, since a
+        # subnormal beta * quantile underflows to 0; threshold ties broken by
+        # candidate index via the stable sort.
+        k = max(1, math.ceil(quantile * n))
         elite = np.argsort(J, kind="stable")[:k]
         w = np.zeros(n)
         w[elite] = total / k

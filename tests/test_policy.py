@@ -39,6 +39,14 @@ class TestPolicyParams:
         with pytest.raises(ValueError):
             PolicyParams(np.full((1, 1), np.inf), np.ones((1, 1)))
 
+    def test_stores_frozen_copies_of_the_callers_arrays(self):
+        mu, sigma = np.zeros((1, 3)), np.ones((1, 3))
+        p = PolicyParams(mu, sigma)
+        assert mu.flags.writeable and sigma.flags.writeable
+        mu[0, 0], sigma[0, 0] = 5.0, 2.0
+        assert p.mu[0, 0] == 0.0 and p.sigma[0, 0] == 1.0
+        assert not (p.mu.flags.writeable or p.sigma.flags.writeable)
+
 
 class TestSampleBatch:
     def test_degenerate_scale_collapses_to_mean(self):
