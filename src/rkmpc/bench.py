@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("episode_steps must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
 
 
 @dataclass(frozen=True)

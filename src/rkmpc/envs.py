@@ -41,6 +41,9 @@ class EnvSpec:
     next states; terminal_cost returns (N,).  stage_cost and constraint get
     the rows of several steps at once, so they must be row-wise: one value
     per row, from that row alone.  No callable may write to its inputs.
+    action_low and action_high are finite (action_dim,) arrays with low < high
+    in every dimension, and initial_state has shape (state_dim,); a bad field
+    raises ValueError at construction, `dataclasses.replace` included.
     """
 
     name: str
@@ -54,6 +57,16 @@ class EnvSpec:
     constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraint_penalty: float = DEFAULT_PENALTY
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+    def __post_init__(self):
+        for name in ("action_low", "action_high"):
+            bound = np.asarray(getattr(self, name), dtype=float)
+            if bound.shape != (self.action_dim,) or not np.isfinite(bound).all():
+                raise ValueError(f"{name} must be finite with shape {(self.action_dim,)}, got {bound.shape}")
+        if not (np.asarray(self.action_low) < np.asarray(self.action_high)).all():
+            raise ValueError("action_low must be < action_high in every dimension")
+        if np.shape(self.initial_state) != (self.state_dim,):
+            raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {np.shape(self.initial_state)}")
 
 
 # Rows per stage_cost / constraint call: a block of max(1, BLOCK_ROWS // N) steps.

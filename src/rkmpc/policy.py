@@ -28,8 +28,6 @@ class PolicyParams:
     def __post_init__(self):
         # Frozen copies: freezing the caller's own arrays would make them read-only.
         mu, sigma = np.array(self.mu, float), np.array(self.sigma, float)
-        if mu.ndim < 2 or sigma.ndim < 2:
-            mu, sigma = np.atleast_2d(mu, sigma)
         if mu.shape != sigma.shape:
             raise ValueError(f"mu shape {mu.shape} != sigma shape {sigma.shape}")
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
@@ -42,10 +40,6 @@ class PolicyParams:
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def horizon(self) -> int:
-        return self.mu.shape[1]
 
 
 def standard_prior(action_dim: int, horizon: int) -> PolicyParams:

@@ -64,6 +64,8 @@ class SolverConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (self.gamma >= 0.0 and self.kappa >= 0.0):
             raise ValueError("gamma and kappa must be >= 0")
+        if not math.isfinite(5.0 * self.gamma):  # else the step's 5 * gamma * s is NaN at s = 0
+            raise ValueError(f"5 * gamma must be finite, got gamma={self.gamma}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if self.horizon < 1 or self.max_iterations < 1:
@@ -164,25 +166,36 @@ def reverse_update(
     return mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta_i)
 
 
+def _two_sided(state: SolverState, lnH: np.ndarray, step, **fields) -> SolverState:
+    """Step theta+ over C+ with lnH and theta- over C- with -lnH; a side with
+    an empty cluster is left as it is.  `fields` join the same `replace`.
+
+    step(theta, tilde, signed_lnH, cluster) -> (theta, tilde) is one side's
+    update.  theta- is trained with |lnH| as positive weights, so pi- becomes
+    a density model of the bad candidates.
+    """
+    lnH = np.asarray(lnH, dtype=float)
+    sides = {}
+    for side, signed, cluster in zip(("plus", "minus"), (lnH, -lnH), partition_clusters(lnH)):
+        if cluster.size:
+            theta, tilde = getattr(state, "theta_" + side), getattr(state, "theta_tilde_" + side)
+            sides["theta_" + side], sides["theta_tilde_" + side] = step(theta, tilde, signed, cluster)
+    return replace(state, **sides, **fields)
+
+
 def reject_update(
     state: SolverState,
     u_batch: np.ndarray,
     lnH: np.ndarray,
     alpha: float,
 ) -> SolverState:
-    """Update theta+ over C+ and theta- over C-, each side under its own
-    mirror geometry; a side with an empty cluster is left untouched.
+    """Update theta+ over C+ and theta- over C-, each side by a mirror-descent
+    step under its own geometry (see `_two_sided`)."""
 
-    theta- is trained with |lnH| as positive weights, so pi- becomes a
-    density model of the bad candidates.
-    """
-    c_plus, c_minus = partition_clusters(lnH)
-    theta_plus, theta_minus = state.theta_plus, state.theta_minus
-    if c_plus.size:
-        theta_plus = reverse_update(theta_plus, u_batch, lnH, alpha, c_plus)
-    if c_minus.size:
-        theta_minus = reverse_update(theta_minus, u_batch, -np.asarray(lnH), alpha, c_minus)
-    return replace(state, theta_plus=theta_plus, theta_minus=theta_minus)
+    def step(theta, tilde, signed, cluster):
+        return reverse_update(theta, u_batch, signed, alpha, cluster), tilde
+
+    return _two_sided(state, lnH, step)
 
 
 def selection_log_scores(
@@ -299,28 +312,12 @@ def accel_update(
     """
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
-    lnH = np.asarray(lnH, dtype=float)
-    c_plus, c_minus = partition_clusters(lnH)
-    sides = []
-    for theta, tilde, signed, cluster in (
-        (state.theta_plus, state.theta_tilde_plus, lnH, c_plus),
-        (state.theta_minus, state.theta_tilde_minus, -lnH, c_minus),
-    ):
-        if cluster.size:
-            g = md_gradient(theta, u_batch, signed, cluster)
-            theta, tilde = agd_plus_step(theta, tilde, *g, state.a_i, state.A_i, a_next, A_next)
-        sides.append((theta, tilde))
-    (theta_plus, tilde_plus), (theta_minus, tilde_minus) = sides
-    new_state = replace(
-        state,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        theta_tilde_plus=tilde_plus,
-        theta_tilde_minus=tilde_minus,
-        a_i=a_next,
-        A_i=A_next,
-        sigma_max_running=sigma_max,
-    )
+
+    def step(theta, tilde, signed, cluster):
+        g = md_gradient(theta, u_batch, signed, cluster)
+        return agd_plus_step(theta, tilde, *g, state.a_i, state.A_i, a_next, A_next)
+
+    new_state = _two_sided(state, lnH, step, a_i=a_next, A_i=A_next, sigma_max_running=sigma_max)
     return new_state, s_i
 
 
@@ -337,12 +334,10 @@ def warm_start(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    horizon = prior.horizon
     mu = prior.mu.copy()
     sigma = prior.sigma.copy()
-    if horizon > 1:
-        mu[:, : horizon - 1] = (1.0 - eta) * prior.mu[:, : horizon - 1] + eta * theta_star.mu[:, 1:]
-        sigma[:, : horizon - 1] = (1.0 - eta) * prior.sigma[:, : horizon - 1] + eta * theta_star.sigma[:, 1:]
+    mu[:, :-1] = (1.0 - eta) * prior.mu[:, :-1] + eta * theta_star.mu[:, 1:]
+    sigma[:, :-1] = (1.0 - eta) * prior.sigma[:, :-1] + eta * theta_star.sigma[:, 1:]
     a1 = (1.0 - eta) * alpha + eta * a_prv
     A1 = 0.5 * a1 * (a1 / alpha + 1.0)
     return PolicyParams(mu, sigma), a1, A1
@@ -359,24 +354,15 @@ def _initial_state(
     prev: SolverState | None,
 ) -> SolverState:
     prior = standard_prior(action_dim, config.horizon)
-    if prev is None:
-        theta1, a1, A1 = warm_start(prior, prior, config.alpha, 0.0, config.alpha)
-        minus1 = prior
-    else:
-        for name in ("theta_plus", "theta_minus"):
-            shape = getattr(prev, name).mu.shape
-            if shape != prior.mu.shape:
-                raise ValueError(f"prev.{name} has shape {shape}, expected {prior.mu.shape}")
-        theta1, a1, A1 = warm_start(prev.theta_plus, prior, prev.a_i, config.eta, config.alpha)
-        minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
-    return SolverState(
-        theta_plus=theta1,
-        theta_minus=minus1,
-        theta_tilde_plus=theta1,
-        theta_tilde_minus=minus1,
-        a_i=a1,
-        A_i=A1,
-    )
+    if prev is None:  # warm_start at eta = 0 from the prior: the prior itself, a1 = A1 = alpha
+        return SolverState(prior, prior, prior, prior, a_i=config.alpha, A_i=config.alpha)
+    for name in ("theta_plus", "theta_minus"):
+        shape = getattr(prev, name).mu.shape
+        if shape != prior.mu.shape:
+            raise ValueError(f"prev.{name} has shape {shape}, expected {prior.mu.shape}")
+    theta1, a1, A1 = warm_start(prev.theta_plus, prior, prev.a_i, config.eta, config.alpha)
+    minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
+    return SolverState(theta1, minus1, theta1, minus1, a_i=a1, A_i=A1)
 
 
 def _update(
@@ -427,6 +413,8 @@ def solve(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
+    if seed < 0 or step < 0:
+        raise ValueError(f"seed and step must be >= 0, got seed={seed}, step={step}")
     x_t = np.asarray(x_t, dtype=float)
     if x_t.shape != (env.state_dim,) or not np.isfinite(x_t).all():
         raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")

@@ -274,6 +274,16 @@ class TestCli:
         assert code == 2
         assert "gamma and kappa must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--gamma", "inf", "5 * gamma must be finite"), ("--seed", "-1", "seeds must be >= 0")],
+        ids=["inf_gamma", "negative_seed"],
+    )
+    def test_bad_setting_exits_two_naming_it(self, tmp_path, capsys, flag, value, message):
+        code = main(self.run_args(tmp_path, extra=[flag, value]))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_output_dir_is_flag_or_ini_then_env_then_cwd(self, tmp_path, capsys, monkeypatch):
         args = self.run_args(tmp_path)
         args = args[: args.index("--output")]

@@ -226,6 +226,24 @@ class TestPendulum:
         assert max(drifts) < 2.5
 
 
+class TestEnvSpecChecks:
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"action_low": np.array([-1.0])}, r"action_low must be finite with shape \(2,\), got \(1,\)"),
+            ({"action_high": np.ones(3)}, r"action_high must be finite with shape \(2,\), got \(3,\)"),
+            ({"action_high": np.array([1.0, np.inf])}, r"action_high must be finite with shape \(2,\), got \(2,\)"),
+            ({"action_low": np.array([-1.0, 1.0])}, "action_low must be < action_high"),
+            ({"initial_state": np.zeros(2)}, r"initial_state must have shape \(4,\), got \(2,\)"),
+        ],
+        ids=["low_one_element", "high_three_elements", "high_inf", "low_not_below_high", "initial_state_length"],
+    )
+    def test_bad_bounds_or_initial_state_rejected(self, fields, match):
+        # dataclasses.replace builds a new EnvSpec, so the check runs again
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(make_env("point_reacher"), **fields)
+
+
 class TestRegistry:
     def test_known_names(self):
         for name in (

@@ -35,6 +35,10 @@ class TestPolicyParams:
         with pytest.raises(ValueError):
             PolicyParams(np.zeros((2, 3)), np.ones((2, 2)))
 
+    def test_rejects_1d_arrays(self):
+        with pytest.raises(ValueError, match=r"expected 2-D \(action_dim, horizon\) arrays, got \(3,\)"):
+            PolicyParams(np.zeros(3), np.ones(3))
+
     def test_rejects_nonfinite_mu(self):
         with pytest.raises(ValueError):
             PolicyParams(np.full((1, 1), np.inf), np.ones((1, 1)))

@@ -199,6 +199,8 @@ class TestReverseUpdate:
 
 
 class TestRejectUpdate:
+    """The two-sided step, pinned for reject and for accel alike."""
+
     def make_state(self):
         return SolverState(
             theta_plus=params_1d(0.0, 1.0),
@@ -209,31 +211,45 @@ class TestRejectUpdate:
             A_i=0.05,
         )
 
+    def updates(self, u, lnH, J, alpha):
+        """The start state, and the state after one reject and one accel update."""
+        state = self.make_state()
+        return state, {
+            "reject": reject_update(state, u, lnH, alpha),
+            "accel": accel_update(state, u, lnH, J, SolverConfig(alpha=alpha))[0],
+        }
+
     def test_beta_zero_never_updates_minus(self):
         rng = np.random.default_rng(11)
-        state = self.make_state()
         u = rng.normal(0, 1, (16, 1, 1))
-        lnH = signed_log_weights(np.abs(u[:, 0, 0]), WeightConfig(beta=0.0))
+        J = np.abs(u[:, 0, 0])
+        lnH = signed_log_weights(J, WeightConfig(beta=0.0))
         assert partition_clusters(lnH)[1].size == 0
-        out = reject_update(state, u, lnH, 0.1)
-        assert np.array_equal(out.theta_minus.mu, state.theta_minus.mu)
-        assert not np.array_equal(out.theta_plus.mu, state.theta_plus.mu)
+        state, outs = self.updates(u, lnH, J, 0.1)
+        for variant, out in outs.items():
+            for name in ("theta_minus", "theta_tilde_minus"):
+                before, after = getattr(state, name), getattr(out, name)
+                assert np.array_equal(after.mu, before.mu) and np.array_equal(after.sigma, before.sigma), (variant, name)
+            assert not np.array_equal(out.theta_plus.mu, state.theta_plus.mu), variant
 
     def test_antisymmetric_batch_directions(self):
-        state = self.make_state()
         u = np.array([[[-1.0]], [[1.0]]])
         # low cost at U = -1, high cost at U = +1
-        lnH = signed_log_weights(np.array([-3.0, 3.0]), WeightConfig())
-        out = reject_update(state, u, lnH, 0.2)
-        assert out.theta_plus.mu[0, 0] < 0.0  # toward the good candidate
-        assert out.theta_minus.mu[0, 0] > 0.0  # toward the bad candidate
+        J = np.array([-3.0, 3.0])
+        _, outs = self.updates(u, signed_log_weights(J, WeightConfig()), J, 0.2)
+        for variant, out in outs.items():
+            assert out.theta_plus.mu[0, 0] < 0.0, variant  # toward the good candidate
+            assert out.theta_minus.mu[0, 0] > 0.0, variant  # toward the bad candidate
 
     def test_degenerate_batch_no_change(self):
-        state = self.make_state()
         u = np.zeros((4, 1, 1))
-        out = reject_update(state, u, np.zeros(4), 0.2)
-        assert np.array_equal(out.theta_plus.mu, state.theta_plus.mu)
-        assert np.array_equal(out.theta_minus.mu, state.theta_minus.mu)
+        state, outs = self.updates(u, np.zeros(4), np.zeros(4), 0.2)
+        for variant, out in outs.items():
+            assert np.array_equal(out.theta_plus.mu, state.theta_plus.mu), variant
+            assert np.array_equal(out.theta_minus.mu, state.theta_minus.mu), variant
+        # flat costs: s = 0, so accel's step grows by the full alpha, once
+        assert (outs["accel"].a_i, outs["accel"].A_i) == (0.05 + 0.2, 0.05 + (0.05 + 0.2))
+        assert (outs["reject"].a_i, outs["reject"].A_i) == (0.05, 0.05)
 
 
 def normal_pdf(x, mu, sigma):
@@ -723,6 +739,13 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"x_t must be finite with shape \(2,\), got shape " + shape):
             solve(env, x_t, quick_config(max_iterations=2))
 
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"step": -1}], ids=["seed", "step"])
+    def test_negative_seed_or_step_rejected(self, kwargs):
+        env = make_env("quadratic_bowl")
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"seed and step must be >= 0, got .*{name}={value}"):
+            solve(env, env.initial_state, quick_config(max_iterations=2), **kwargs)
+
     @pytest.mark.parametrize("deadline", [math.nan, -1.0])
     def test_nan_or_negative_deadline_rejected(self, deadline):
         with pytest.raises(ValueError, match="deadline must be >= 0"):
@@ -732,6 +755,8 @@ class TestSolve:
         "config_cls, kwargs, match",
         [
             (SolverConfig, {"gamma": math.nan}, "gamma and kappa must be >= 0"),
+            (SolverConfig, {"gamma": math.inf}, r"5 \* gamma must be finite"),
+            (SolverConfig, {"gamma": 1e308}, r"5 \* gamma must be finite"),
             (SolverConfig, {"kappa": math.nan}, "gamma and kappa must be >= 0"),
             (WeightConfig, {"temperature": math.nan}, "temperature must be > 0"),
             (SolverConfig, {"n_candidates": 1}, "n_candidates >= 2"),
@@ -744,7 +769,8 @@ class TestSolve:
             (SolverConfig, {"max_iterations": 0}, "horizon and max_iterations must be >= 1"),
         ],
         ids=[
-            "gamma_nan", "kappa_nan", "temperature_nan", "one_candidate", "oversample_below_n",
+            "gamma_nan", "gamma_inf", "gamma_overflows_the_step", "kappa_nan", "temperature_nan",
+            "one_candidate", "oversample_below_n",
             "gamma_negative", "kappa_negative", "eta_negative", "eta_above_one", "horizon_zero", "iterations_zero",
         ],
     )
