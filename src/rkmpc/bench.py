@@ -84,7 +84,7 @@ def run_episode(env: EnvSpec, config: ExperimentConfig, seed: int) -> EpisodeRec
             env, x, config.solver, variant=config.variant,
             prev=state, seed=seed, step=step,
         )
-        mean_seq = squash(state.theta_plus.mu, env.action_low, env.action_high)
+        mean_seq = squash(state.mu[0], env.action_low, env.action_high)
         chosen = float(rollout_batch(env, x, mean_seq[None])[0])
         u = result.u.reshape(1, env.action_dim)
         xb = x.reshape(1, env.state_dim)

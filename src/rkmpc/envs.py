@@ -42,8 +42,9 @@ class EnvSpec:
     the rows of several steps at once, so they must be row-wise: one value
     per row, from that row alone.  No callable may write to its inputs.
     action_low and action_high are finite (action_dim,) arrays with low < high
-    in every dimension, and initial_state has shape (state_dim,); a bad field
-    raises ValueError at construction, `dataclasses.replace` included.
+    in every dimension, initial_state has shape (state_dim,), and
+    constraint_penalty is finite and >= 0; a bad field raises ValueError at
+    construction, `dataclasses.replace` included.
     """
 
     name: str
@@ -67,6 +68,8 @@ class EnvSpec:
             raise ValueError("action_low must be < action_high in every dimension")
         if np.shape(self.initial_state) != (self.state_dim,):
             raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {np.shape(self.initial_state)}")
+        if not 0.0 <= self.constraint_penalty < np.inf:  # NaN makes every rollout diverged
+            raise ValueError(f"constraint_penalty must be finite and >= 0, got {self.constraint_penalty}")
 
 
 # Rows per stage_cost / constraint call: a block of max(1, BLOCK_ROWS // N) steps.

@@ -105,19 +105,17 @@ def kl_divergence(theta: PolicyParams, theta_i: PolicyParams) -> float:
     return float(0.5 * terms.sum())
 
 
-def mirror_map(theta: PolicyParams, theta_i: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-    """Map theta into the mirror space defined by the KL geometry at theta_i.
-
-    Returns the mirror point (z_mu, z_sigma), two arrays of theta's shape.
-    """
-    if theta.mu.shape != theta_i.mu.shape:
+def mirror_map(mu: np.ndarray, sigma: np.ndarray, sigma_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror point (z_mu, z_sigma) of (mu, sigma) in the KL geometry at scale
+    sigma_i; all arrays share one shape, (A, H) or with sides stacked ahead."""
+    if np.shape(mu) != np.shape(sigma_i) or np.shape(sigma) != np.shape(sigma_i):
         raise ValueError("parameter shapes must match")
-    var_i = theta_i.sigma**2
-    return theta.mu / var_i, theta.sigma / var_i - 1.0 / theta.sigma
+    var_i = sigma_i**2
+    return mu / var_i, sigma / var_i - 1.0 / sigma
 
 
-def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, theta_i: PolicyParams) -> PolicyParams:
-    """Invert the mirror map at theta_i back to policy parameters.
+def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, sigma_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the mirror map at scale sigma_i back to (mu, sigma).
 
     sigma is floored at SIGMA_FLOOR.  A non-finite mirror point is rejected
     here: z_sigma = -inf would otherwise come back as sigma = SIGMA_FLOOR.
@@ -126,16 +124,16 @@ def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, theta_i: PolicyParams)
     written with + |sigma_i*z|: equal where it is selected, and never 0.
     np.hypot keeps sqrt(sigma_i^2 z^2 + 4) from overflowing for large |z|.
     """
-    if np.shape(z_mu) != theta_i.mu.shape or np.shape(z_sigma) != theta_i.mu.shape:
+    if np.shape(z_mu) != np.shape(sigma_i) or np.shape(z_sigma) != np.shape(sigma_i):
         raise ValueError("mirror point shape does not match reference")
     if not (np.isfinite(z_mu).all() and np.isfinite(z_sigma).all()):
         raise ValueError("mirror point entries must be finite")
-    var_i = theta_i.sigma**2
-    sz = theta_i.sigma * z_sigma
+    var_i = sigma_i**2
+    sz = sigma_i * z_sigma
     root = np.hypot(sz, 2.0)  # sqrt(sigma_i^2 z_sigma^2 + 4)
     sigma = np.where(
         z_sigma >= 0.0,
-        0.5 * (var_i * z_sigma + theta_i.sigma * root),
-        2.0 * theta_i.sigma / (root + np.abs(sz)),
+        0.5 * (var_i * z_sigma + sigma_i * root),
+        2.0 * sigma_i / (root + np.abs(sz)),
     )
-    return PolicyParams(var_i * z_mu, np.maximum(sigma, SIGMA_FLOOR))
+    return var_i * z_mu, np.maximum(sigma, SIGMA_FLOOR)

@@ -38,6 +38,7 @@ from .weights import WeightConfig, forward_weights, partition_clusters, signed_l
 VARIANTS = ("forward", "reverse", "reject", "accel")
 # Added to a batch's worst finite cost to price a diverged (J = +inf) candidate.
 NONFINITE_PENALTY = 1e6
+Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sides stacked ahead
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    theta_plus: PolicyParams
-    theta_minus: PolicyParams
-    theta_tilde_plus: PolicyParams
-    theta_tilde_minus: PolicyParams
+    """theta+- in (mu, sigma) and the momentum points theta~+- in (tilde_mu, tilde_sigma),
+    each (2, action_dim, horizon) with the sides in the order (+, -).  Updates never
+    write into these; the per-side properties return validated, frozen copies."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    tilde_mu: np.ndarray
+    tilde_sigma: np.ndarray
     a_i: float = 0.0
     A_i: float = 0.0
     sigma_max_running: float = 0.0
+
+    theta_plus = property(lambda self: PolicyParams(self.mu[0], self.sigma[0]))
+    theta_minus = property(lambda self: PolicyParams(self.mu[1], self.sigma[1]))
+    theta_tilde_plus = property(lambda self: PolicyParams(self.tilde_mu[0], self.tilde_sigma[0]))
+    theta_tilde_minus = property(lambda self: PolicyParams(self.tilde_mu[1], self.tilde_sigma[1]))
 
 
 @dataclass(frozen=True)
@@ -123,12 +133,13 @@ def forward_update(
 
 
 def md_gradient(
-    theta: PolicyParams,
+    mu: np.ndarray,
+    sigma: np.ndarray,
     u_batch: np.ndarray,
     lnH: np.ndarray,
     cluster: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster-averaged gradient of the signed weighted log-likelihood.
+    """Cluster-averaged gradient of the signed weighted log-likelihood at (mu, sigma).
 
     g = (1/|C|) sum_{n in C} (-lnH^n) * grad_theta ln pi(U^n; theta), with the
     diagonal-Gaussian score functions written out element-wise.
@@ -138,17 +149,23 @@ def md_gradient(
         raise ValueError("empty cluster: no update for this side")
     u = u_batch[cluster]
     w = np.asarray(lnH, dtype=float)[cluster][:, None, None]
-    diff = u - theta.mu
-    var = theta.sigma**2
+    diff = u - mu
+    var = sigma**2
     t = -w * diff
     t /= var
     g_mu = t.sum(axis=0) / cluster.size
     diff *= diff
     diff -= var
     diff *= -w
-    diff /= var * theta.sigma
+    diff /= var * sigma
     g_sigma = diff.sum(axis=0) / cluster.size
     return g_mu, g_sigma
+
+
+def _md_step(mu: np.ndarray, sigma: np.ndarray, g_mu: np.ndarray, g_sigma: np.ndarray, alpha: float) -> Pair:
+    """One mirror-descent step from (mu, sigma), in the geometry anchored there."""
+    z_mu, z_sigma = mirror_map(mu, sigma, sigma)
+    return mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, sigma)
 
 
 def reverse_update(
@@ -156,31 +173,34 @@ def reverse_update(
     u_batch: np.ndarray,
     lnH: np.ndarray,
     alpha: float,
-    cluster: np.ndarray | None = None,
 ) -> PolicyParams:
-    """One mirror-descent step anchored at theta_i."""
-    if cluster is None:
-        cluster = np.arange(u_batch.shape[0])
-    g_mu, g_sigma = md_gradient(theta_i, u_batch, lnH, cluster)
-    z_mu, z_sigma = mirror_map(theta_i, theta_i)
-    return mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta_i)
+    """One mirror-descent step anchored at theta_i, over every candidate."""
+    g_mu, g_sigma = md_gradient(theta_i.mu, theta_i.sigma, u_batch, lnH, np.arange(u_batch.shape[0]))
+    return PolicyParams(*_md_step(theta_i.mu, theta_i.sigma, g_mu, g_sigma, alpha))
 
 
-def _two_sided(state: SolverState, lnH: np.ndarray, step, **fields) -> SolverState:
-    """Step theta+ over C+ with lnH and theta- over C- with -lnH; a side with
-    an empty cluster is left as it is.  `fields` join the same `replace`.
-
-    step(theta, tilde, signed_lnH, cluster) -> (theta, tilde) is one side's
-    update.  theta- is trained with |lnH| as positive weights, so pi- becomes
-    a density model of the bad candidates.
-    """
+def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray):
+    """(sides, g_mu, g_sigma): the slice of the side axis whose clusters are
+    not empty, and its gradients, theta+ over C+ with lnH and theta- over C-
+    with -lnH (so pi- models the bad candidates), each over its own cluster."""
     lnH = np.asarray(lnH, dtype=float)
-    sides = {}
-    for side, signed, cluster in zip(("plus", "minus"), (lnH, -lnH), partition_clusters(lnH)):
-        if cluster.size:
-            theta, tilde = getattr(state, "theta_" + side), getattr(state, "theta_tilde_" + side)
-            sides["theta_" + side], sides["theta_tilde_" + side] = step(theta, tilde, signed, cluster)
-    return replace(state, **sides, **fields)
+    clusters = partition_clusters(lnH)
+    live = [k for k in (0, 1) if clusters[k].size]
+    g_mu = np.empty((len(live),) + state.mu.shape[1:])
+    g_sigma = np.empty_like(g_mu)
+    for j, k in enumerate(live):
+        g_mu[j], g_sigma[j] = md_gradient(state.mu[k], state.sigma[k], u_batch, -lnH if k else lnH, clusters[k])
+    return (slice(live[0], live[-1] + 1) if live else slice(0, 0)), g_mu, g_sigma
+
+
+def _stepped(state: SolverState, sides: slice, **fields) -> SolverState:
+    """replace(state, **fields); new policy arrays cover only `sides`, the other side keeps its values."""
+    if sides != slice(0, 2):
+        for name in fields.keys() & {"mu", "sigma", "tilde_mu", "tilde_sigma"}:
+            full = getattr(state, name).copy()
+            full[sides] = fields[name]
+            fields[name] = full
+    return replace(state, **fields)
 
 
 def reject_update(
@@ -189,13 +209,10 @@ def reject_update(
     lnH: np.ndarray,
     alpha: float,
 ) -> SolverState:
-    """Update theta+ over C+ and theta- over C-, each side by a mirror-descent
-    step under its own geometry (see `_two_sided`)."""
-
-    def step(theta, tilde, signed, cluster):
-        return reverse_update(theta, u_batch, signed, alpha, cluster), tilde
-
-    return _two_sided(state, lnH, step)
+    """One mirror-descent step of both sides, each under its own geometry."""
+    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH)
+    mu, sigma = _md_step(state.mu[sides], state.sigma[sides], g_mu, g_sigma, alpha)
+    return _stepped(state, sides, mu=mu, sigma=sigma)
 
 
 def selection_log_scores(
@@ -268,33 +285,33 @@ def step_size_advance(a_i: float, A_i: float, s_i: float, alpha: float, gamma: f
 
 
 def agd_plus_step(
-    theta_i: PolicyParams,
-    theta_tilde_prev: PolicyParams,
+    theta_i: Pair,
+    theta_tilde_prev: Pair,
     g_mu: np.ndarray,
     g_sigma: np.ndarray,
     a_i: float,
     A_i: float,
     a_next: float,
     A_next: float,
-    anchor: PolicyParams | None = None,
-) -> tuple[PolicyParams, PolicyParams]:
+    anchor: np.ndarray | None = None,
+) -> tuple[Pair, Pair]:
     """One accelerated mirror-descent step; returns (theta_next, theta_tilde).
 
-    The mirror maps are anchored at theta_i (the dynamic geometry), unless an
-    explicit static anchor is supplied.  The new iterate interpolates theta_i
-    with the momentum point and adds the momentum difference term.
+    The mirror maps are anchored at theta_i's scale (the dynamic geometry),
+    unless an explicit static anchor scale is supplied.  The new iterate
+    interpolates theta_i with the momentum point and adds the momentum
+    difference term.
     """
-    if anchor is None:
-        anchor = theta_i
-    z_mu, z_sigma = mirror_map(theta_tilde_prev, anchor)
-    tilde = mirror_inverse(z_mu - a_i * g_mu, z_sigma - a_i * g_sigma, anchor)
+    (mu_i, sigma_i), (mu_prev, sigma_prev) = theta_i, theta_tilde_prev
+    anchor = sigma_i if anchor is None else anchor
+    z_mu, z_sigma = mirror_map(mu_prev, sigma_prev, anchor)
+    t_mu, t_sigma = mirror_inverse(z_mu - a_i * g_mu, z_sigma - a_i * g_sigma, anchor)
     w_keep = A_i / A_next
     w_new = a_next / A_next
     w_mom = a_i / A_next
-    mu = w_keep * theta_i.mu + w_new * tilde.mu + w_mom * (tilde.mu - theta_tilde_prev.mu)
-    sigma = w_keep * theta_i.sigma + w_new * tilde.sigma + w_mom * (tilde.sigma - theta_tilde_prev.sigma)
-    theta_next = PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR))
-    return theta_next, tilde
+    mu = w_keep * mu_i + w_new * t_mu + w_mom * (t_mu - mu_prev)
+    sigma = w_keep * sigma_i + w_new * t_sigma + w_mom * (t_sigma - sigma_prev)
+    return (mu, np.maximum(sigma, SIGMA_FLOOR)), (t_mu, t_sigma)
 
 
 def accel_update(
@@ -312,35 +329,34 @@ def accel_update(
     """
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
-
-    def step(theta, tilde, signed, cluster):
-        g = md_gradient(theta, u_batch, signed, cluster)
-        return agd_plus_step(theta, tilde, *g, state.a_i, state.A_i, a_next, A_next)
-
-    new_state = _two_sided(state, lnH, step, a_i=a_next, A_i=A_next, sigma_max_running=sigma_max)
-    return new_state, s_i
+    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH)
+    theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
+    (mu, sigma), (t_mu, t_sigma) = agd_plus_step(theta, tilde, g_mu, g_sigma, state.a_i, state.A_i, a_next, A_next)
+    fields = {"a_i": a_next, "A_i": A_next, "sigma_max_running": sigma_max}
+    return _stepped(state, sides, mu=mu, sigma=sigma, tilde_mu=t_mu, tilde_sigma=t_sigma, **fields), s_i
 
 
 def warm_start(
-    theta_star: PolicyParams,
+    theta_star: Pair,
     prior: PolicyParams,
     a_prv: float,
     eta: float,
     alpha: float,
-) -> tuple[PolicyParams, float, float]:
+) -> tuple[Pair, float, float]:
     """Time-shifted blend of the previous optimum into the prior, plus the
     warm step accumulators: a1 interpolates alpha with the previous final
     step and A1 is read off the triangular schedule at the implied iteration.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    mu = prior.mu.copy()
-    sigma = prior.sigma.copy()
-    mu[:, :-1] = (1.0 - eta) * prior.mu[:, :-1] + eta * theta_star.mu[:, 1:]
-    sigma[:, :-1] = (1.0 - eta) * prior.sigma[:, :-1] + eta * theta_star.sigma[:, 1:]
+    mu_star, sigma_star = theta_star
+    mu, sigma = np.empty(np.shape(mu_star)), np.empty(np.shape(sigma_star))
+    mu[...], sigma[...] = prior.mu, prior.sigma
+    mu[..., :-1] = (1.0 - eta) * prior.mu[:, :-1] + eta * mu_star[..., 1:]
+    sigma[..., :-1] = (1.0 - eta) * prior.sigma[:, :-1] + eta * sigma_star[..., 1:]
     a1 = (1.0 - eta) * alpha + eta * a_prv
     A1 = 0.5 * a1 * (a1 / alpha + 1.0)
-    return PolicyParams(mu, sigma), a1, A1
+    return (mu, sigma), a1, A1
 
 
 def _iteration_rng(seed: int, step: int, iteration: int) -> np.random.Generator:
@@ -355,14 +371,16 @@ def _initial_state(
 ) -> SolverState:
     prior = standard_prior(action_dim, config.horizon)
     if prev is None:  # warm_start at eta = 0 from the prior: the prior itself, a1 = A1 = alpha
-        return SolverState(prior, prior, prior, prior, a_i=config.alpha, A_i=config.alpha)
-    for name in ("theta_plus", "theta_minus"):
-        shape = getattr(prev, name).mu.shape
-        if shape != prior.mu.shape:
-            raise ValueError(f"prev.{name} has shape {shape}, expected {prior.mu.shape}")
-    theta1, a1, A1 = warm_start(prev.theta_plus, prior, prev.a_i, config.eta, config.alpha)
-    minus1, _, _ = warm_start(prev.theta_minus, prior, prev.a_i, config.eta, config.alpha)
-    return SolverState(theta1, minus1, theta1, minus1, a_i=a1, A_i=A1)
+        mu, sigma = np.stack((prior.mu, prior.mu)), np.stack((prior.sigma, prior.sigma))
+        return SolverState(mu, sigma, mu, sigma, a_i=config.alpha, A_i=config.alpha)
+    want = (2,) + prior.mu.shape  # the (+, -) sides of one (A, H) policy each
+    for name in ("mu", "sigma", "tilde_mu", "tilde_sigma"):
+        got = np.shape(getattr(prev, name))
+        if got != want:
+            side = "theta_tilde_plus" if name.startswith("tilde") else "theta_plus"
+            raise ValueError(f"prev.{side} has shape {got[1:]}, expected {want[1:]} (prev.{name}: {got}, not {want})")
+    (mu, sigma), a1, A1 = warm_start((prev.mu, prev.sigma), prior, prev.a_i, config.eta, config.alpha)
+    return SolverState(mu, sigma, mu, sigma, a_i=a1, A_i=A1)
 
 
 def _update(
@@ -378,13 +396,13 @@ def _update(
     Returns (state, moved, s_i): moved says whether theta+ got a positive
     update, and s_i is the noise strength (accel only, else 0).
     """
-    if variant == "forward":
-        theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
-        return replace(state, theta_plus=theta), not zero, 0.0
-    if variant == "reverse":
-        moved = bool((w != 0.0).any())
-        theta = reverse_update(state.theta_plus, u_batch, w, config.alpha) if moved else state.theta_plus
-        return replace(state, theta_plus=theta), moved, 0.0
+    if variant in ("forward", "reverse"):
+        if variant == "forward":
+            theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
+        else:
+            zero = not (w != 0.0).any()
+            theta = state.theta_plus if zero else reverse_update(state.theta_plus, u_batch, w, config.alpha)
+        return _stepped(state, slice(0, 1), mu=theta.mu, sigma=theta.sigma), not zero, 0.0
     moved = partition_clusters(w)[0].size > 0
     if variant == "reject":
         return reject_update(state, u_batch, w, config.alpha), moved, 0.0
@@ -456,7 +474,7 @@ def solve(
         moved_count += moved
         iter_times.append(time.monotonic() - t0)
 
-    u_first = squash(state.theta_plus.mu, env.action_low, env.action_high)[:, 0]
+    u_first = squash(state.mu[0], env.action_low, env.action_high)[:, 0]
     result = ControlResult(
         u=u_first,
         iterations=len(iter_times),

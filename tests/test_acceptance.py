@@ -53,17 +53,17 @@ class TestAcceptance:
         shape = (100, 1000)  # 1e5 element pairs in one vectorized object
         theta = PolicyParams(rng.normal(0, 3, shape), rng.uniform(0.05, 20.0, shape))
         ref = PolicyParams(rng.normal(0, 3, shape), rng.uniform(0.05, 20.0, shape))
-        back = mirror_inverse(*mirror_map(theta, ref), ref)
-        ok_round = np.allclose(back.mu, theta.mu, rtol=1e-9, atol=1e-12) and np.allclose(
-            back.sigma, theta.sigma, rtol=1e-9
+        back_mu, back_sigma = mirror_inverse(*mirror_map(theta.mu, theta.sigma, ref.sigma), ref.sigma)
+        ok_round = np.allclose(back_mu, theta.mu, rtol=1e-9, atol=1e-12) and np.allclose(
+            back_sigma, theta.sigma, rtol=1e-9
         )
 
         ok_positive = True
         for _ in range(200):
             r = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.1, 10.0, (2, 3)))
             scale = 10.0 ** rng.uniform(-3, 9)
-            out = mirror_inverse(rng.normal(0, 1, (2, 3)), rng.normal(0, scale, (2, 3)), r)
-            ok_positive &= bool(np.all(out.sigma > 0.0) and np.all(np.isfinite(out.sigma)))
+            _, sigma = mirror_inverse(rng.normal(0, 1, (2, 3)), rng.normal(0, scale, (2, 3)), r.sigma)
+            ok_positive &= bool(np.all(sigma > 0.0) and np.all(np.isfinite(sigma)))
 
         # finite differences of the closed-form divergence; the map matches
         # its gradient up to the anchor offset, which cancels in every update
@@ -72,8 +72,8 @@ class TestAcceptance:
         for _ in range(20):
             th = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.5, 3.0, (2, 3)))
             r = PolicyParams(rng.normal(0, 2, (2, 3)), rng.uniform(0.5, 3.0, (2, 3)))
-            z_mu, z_sigma = mirror_map(th, r)
-            z0_mu, z0_sigma = mirror_map(r, r)
+            z_mu, z_sigma = mirror_map(th.mu, th.sigma, r.sigma)
+            z0_mu, z0_sigma = mirror_map(r.mu, r.sigma, r.sigma)
             for idx in np.ndindex(th.mu.shape):
                 mu_p, mu_m = th.mu.copy(), th.mu.copy()
                 mu_p[idx] += h
@@ -129,7 +129,7 @@ class TestAcceptance:
         grads = [(rng.normal(0, 0.3, (2, 3)), rng.normal(0, 0.1, (2, 3))) for _ in range(100)]
 
         # oracle A: three-variable form keeping a running weighted average
-        z_mu, z_sg = mirror_map(theta1, anchor)
+        z_mu, z_sg = mirror_map(theta1.mu, theta1.sigma, anchor.sigma)
         y_mu, y_sg = theta1.mu.copy(), theta1.sigma.copy()
         orig = []
         A_prev = 0.0
@@ -139,7 +139,7 @@ class TestAcceptance:
             A_next = A_i + a_next
             z_mu -= a_i * g_mu
             z_sg -= a_i * g_sg
-            inv = mirror_inverse(z_mu, z_sg, anchor)
+            inv = PolicyParams(*mirror_inverse(z_mu, z_sg, anchor.sigma))
             y_mu = (A_prev / A_i) * y_mu + (a_i / A_i) * inv.mu
             y_sg = (A_prev / A_i) * y_sg + (a_i / A_i) * inv.sigma
             orig.append(
@@ -151,7 +151,7 @@ class TestAcceptance:
             A_prev = A_i
 
         # oracle B: momentum form carrying theta and the previous dual point
-        z_mu, z_sg = mirror_map(theta1, anchor)
+        z_mu, z_sg = mirror_map(theta1.mu, theta1.sigma, anchor.sigma)
         inv_prev, theta = theta1, theta1
         mom = []
         A_prev = 0.0
@@ -161,7 +161,7 @@ class TestAcceptance:
             A_next = A_i + a_next
             z_mu -= a_i * g_mu
             z_sg -= a_i * g_sg
-            inv = mirror_inverse(z_mu, z_sg, anchor)
+            inv = PolicyParams(*mirror_inverse(z_mu, z_sg, anchor.sigma))
             theta = PolicyParams(
                 (A_i / A_next) * theta.mu
                 + (a_next / A_next) * inv.mu
@@ -181,9 +181,11 @@ class TestAcceptance:
             a_i, a_next = alpha * i, alpha * (i + 1)
             A_i = A_prev + a_i
             A_next = A_i + a_next
-            theta, tilde = agd_plus_step(
-                theta, tilde, g_mu, g_sg, a_i, A_i, a_next, A_next, anchor=anchor
+            new, new_tilde = agd_plus_step(
+                (theta.mu, theta.sigma), (tilde.mu, tilde.sigma), g_mu, g_sg, a_i, A_i, a_next, A_next,
+                anchor=anchor.sigma,
             )
+            theta, tilde = PolicyParams(*new), PolicyParams(*new_tilde)
             for oracle in (orig[i - 1], mom[i - 1]):
                 ok &= bool(
                     np.allclose(theta.mu, oracle.mu, rtol=1e-9, atol=1e-12)
@@ -208,11 +210,8 @@ class TestAcceptance:
 
         def first_hit(variant, seed, iters=300):
             theta = standard_prior(1, 1)
-            state = SolverState(
-                theta_plus=theta, theta_minus=theta,
-                theta_tilde_plus=theta, theta_tilde_minus=theta,
-                a_i=alpha, A_i=alpha,
-            )
+            mu, sigma = np.stack((theta.mu, theta.mu)), np.stack((theta.sigma, theta.sigma))
+            state = SolverState(mu, sigma, mu, sigma, a_i=alpha, A_i=alpha)
             rng = np.random.default_rng(seed)
             for i in range(1, iters + 1):
                 if variant == "reverse":
@@ -225,11 +224,9 @@ class TestAcceptance:
                 lnH = signed_log_weights(J, wc)
                 if variant == "reverse":
                     th = reverse_update(state.theta_plus, u, lnH, alpha)
-                    state = SolverState(
-                        theta_plus=th, theta_minus=state.theta_minus,
-                        theta_tilde_plus=th, theta_tilde_minus=state.theta_minus,
-                        a_i=state.a_i, A_i=state.A_i,
-                    )
+                    mu = np.stack((th.mu, state.mu[1]))
+                    sigma = np.stack((th.sigma, state.sigma[1]))
+                    state = SolverState(mu, sigma, mu, sigma, a_i=state.a_i, A_i=state.A_i)
                 else:
                     state, _ = accel_update(state, u, lnH, J, cfg)
                 if abs(math.tanh(state.theta_plus.mu[0, 0]) - target) < 0.01:
@@ -445,15 +442,15 @@ class TestAcceptance:
 
     def test_11_warm_start_formulas(self):
         prior = standard_prior(1, 6)
-        _, a1, A1 = warm_start(prior, prior, a_prv=0.6, eta=1.0, alpha=0.05)
+        _, a1, A1 = warm_start((prior.mu, prior.sigma), prior, a_prv=0.6, eta=1.0, alpha=0.05)
         ok_warm = a1 == pytest.approx(0.6, rel=1e-12) and A1 == pytest.approx(3.9, rel=1e-12)
-        theta_cold, a_cold, A_cold = warm_start(
-            PolicyParams(np.full((1, 6), 2.0), np.full((1, 6), 0.5)),
+        (mu_cold, sigma_cold), a_cold, A_cold = warm_start(
+            (np.full((1, 6), 2.0), np.full((1, 6), 0.5)),
             prior, a_prv=0.6, eta=0.0, alpha=0.05,
         )
         ok_cold = (
-            np.array_equal(theta_cold.mu, prior.mu)
-            and np.array_equal(theta_cold.sigma, prior.sigma)
+            np.array_equal(mu_cold, prior.mu)
+            and np.array_equal(sigma_cold, prior.sigma)
             and a_cold == 0.05
             and A_cold == pytest.approx(0.05, rel=1e-12)
         )

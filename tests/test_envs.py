@@ -243,6 +243,15 @@ class TestEnvSpecChecks:
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(make_env("point_reacher"), **fields)
 
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_nonfinite_or_negative_constraint_penalty_rejected(self, penalty):
+        # a NaN penalty marked every rollout diverged; a negative one rewarded violations
+        with pytest.raises(ValueError, match="constraint_penalty must be finite and >= 0, got"):
+            dataclasses.replace(make_env("point_reacher"), constraint_penalty=penalty)
+
+    def test_zero_constraint_penalty_allowed(self):
+        assert dataclasses.replace(make_env("point_reacher"), constraint_penalty=0.0).constraint_penalty == 0.0
+
 
 class TestRegistry:
     def test_known_names(self):

@@ -1,4 +1,4 @@
-"""The hot-path kernels that build (count, A, H) arrays: bits and memory.
+"""The hot paths of one solver iteration: bits, memory and object counts.
 
 `sample_batch`, `log_density`, `squash`, `forward_update` and `md_gradient`
 allocate each (count, A, H) array once and then work in place.  Each is
@@ -6,6 +6,11 @@ pinned bit for bit against the one-line expressions it replaced, which are
 kept here as the reference, and its peak of traced memory is pinned with
 `tracemalloc` (numpy reports its data buffers to it, so the peaks do not
 depend on the machine).
+
+`reject_update` and `accel_update` step both policy sides at once over a
+(2, A, H) side axis.  They are pinned bit for bit against the per-side
+mirror-descent and AGD+ steps they replaced, kept here as the reference, and
+a solve builds at most two validated `PolicyParams` per iteration.
 """
 
 import tracemalloc
@@ -13,8 +18,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rkmpc.envs import make_env
 from rkmpc.policy import LOG_2PI, SIGMA_FLOOR, PolicyParams, log_density, sample_batch, squash
-from rkmpc.solvers import compose_and_sample, forward_update, md_gradient
+from rkmpc.solvers import (
+    SolverConfig,
+    SolverState,
+    accel_update,
+    compose_and_sample,
+    forward_update,
+    md_gradient,
+    noise_strength,
+    reject_update,
+    solve,
+    step_size_advance,
+)
+from rkmpc.weights import partition_clusters
 
 # A single (A, H) sequence, then (count, A, H) batches from the swing-up to
 # the bulk workloads' shapes.
@@ -114,7 +132,7 @@ class TestBitIdenticalToReference:
         lnH[0] = 1.0  # C+ is never empty
         cluster = np.flatnonzero(lnH > 0.0)
         before = u.copy(), lnH.copy(), cluster.copy()
-        got = md_gradient(params, u, lnH, cluster)
+        got = md_gradient(params.mu, params.sigma, u, lnH, cluster)
         want = ref_md_gradient(params, u, lnH, cluster)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert all(same_bits(x, y) for x, y in zip((u, lnH, cluster), before))
@@ -149,3 +167,136 @@ class TestMemoryPeak:
         params, u = case((1024, 2, 50))
         weights = np.random.default_rng(2).exponential(1.0, u.shape[0])
         assert peak_bytes(forward_update, params, u, weights, 0.3) <= 1.2 * u.nbytes
+
+
+# The per-side update steps that the side-stacked ones replaced.
+
+
+def ref_mirror_map(theta, theta_i):
+    var_i = theta_i.sigma**2
+    return theta.mu / var_i, theta.sigma / var_i - 1.0 / theta.sigma
+
+
+def ref_mirror_inverse(z_mu, z_sigma, theta_i):
+    var_i = theta_i.sigma**2
+    sz = theta_i.sigma * z_sigma
+    root = np.hypot(sz, 2.0)
+    sigma = np.where(
+        z_sigma >= 0.0,
+        0.5 * (var_i * z_sigma + theta_i.sigma * root),
+        2.0 * theta_i.sigma / (root + np.abs(sz)),
+    )
+    return PolicyParams(var_i * z_mu, np.maximum(sigma, SIGMA_FLOOR))
+
+
+def ref_reverse_update(theta_i, u_batch, lnH, alpha, cluster):
+    g_mu, g_sigma = ref_md_gradient(theta_i, u_batch, lnH, cluster)
+    z_mu, z_sigma = ref_mirror_map(theta_i, theta_i)
+    return ref_mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta_i)
+
+
+def ref_agd_plus_step(theta_i, tilde_prev, g_mu, g_sigma, a_i, A_i, a_next, A_next):
+    z_mu, z_sigma = ref_mirror_map(tilde_prev, theta_i)
+    tilde = ref_mirror_inverse(z_mu - a_i * g_mu, z_sigma - a_i * g_sigma, theta_i)
+    w_keep, w_new, w_mom = A_i / A_next, a_next / A_next, a_i / A_next
+    mu = w_keep * theta_i.mu + w_new * tilde.mu + w_mom * (tilde.mu - tilde_prev.mu)
+    sigma = w_keep * theta_i.sigma + w_new * tilde.sigma + w_mom * (tilde.sigma - tilde_prev.sigma)
+    return PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR)), tilde
+
+
+def ref_two_sided(sides, lnH, step):
+    """Step theta+ over C+ with lnH and theta- over C- with -lnH, one side at
+    a time; sides maps "plus"/"minus" to (theta, tilde)."""
+    out = dict(sides)
+    for side, signed, cluster in zip(("plus", "minus"), (lnH, -lnH), partition_clusters(lnH)):
+        if cluster.size:
+            out[side] = step(*sides[side], signed, cluster)
+    return out
+
+
+UPDATE_SHAPES = [(32, 1, 12), (1024, 1, 50), (1024, 2, 50)]
+LNH_CASES = {
+    "both_sides": lambda x: x,
+    "plus_empty": lambda x: -np.abs(x),
+    "minus_empty": lambda x: np.abs(x),  # what beta = 0 gives
+    "both_empty": lambda x: np.zeros_like(x),
+}
+
+
+def two_sided_case(shape, lnh_case):
+    """A state with four different policies (sigma over 1e-6..1e3), a batch
+    around them, signed weights of the named sign pattern and costs."""
+    sides = {side: (case(shape[1:], seed=10 + k)[0], case(shape[1:], seed=20 + k)[0])
+             for k, side in enumerate(("plus", "minus"))}
+    (plus, tilde_plus), (minus, tilde_minus) = sides["plus"], sides["minus"]
+    state = SolverState(
+        np.stack((plus.mu, minus.mu)), np.stack((plus.sigma, minus.sigma)),
+        np.stack((tilde_plus.mu, tilde_minus.mu)), np.stack((tilde_plus.sigma, tilde_minus.sigma)),
+        a_i=0.3, A_i=0.7, sigma_max_running=0.5,
+    )
+    rng = np.random.default_rng(6)
+    u = rng.normal(0.0, 2.0, shape)
+    lnH = LNH_CASES[lnh_case](rng.normal(0.0, 2.0, shape[0]))
+    J = rng.exponential(1.0, shape[0])
+    return state, sides, u, lnH, J
+
+
+def assert_state_holds(state, sides):
+    for side, (theta, tilde) in sides.items():
+        for name, want in (("theta_" + side, theta), ("theta_tilde_" + side, tilde)):
+            got = getattr(state, name)
+            assert same_bits(got.mu, want.mu) and same_bits(got.sigma, want.sigma), name
+
+
+@pytest.mark.parametrize("lnh_case", sorted(LNH_CASES))
+@pytest.mark.parametrize("shape", UPDATE_SHAPES)
+class TestTwoSidedStepBitIdentical:
+    def test_reject_update(self, shape, lnh_case):
+        state, sides, u, lnH, _ = two_sided_case(shape, lnh_case)
+        before = [a.copy() for a in (state.mu, state.sigma, state.tilde_mu, state.tilde_sigma, u, lnH)]
+        got = reject_update(state, u, lnH, 0.3)
+        want = ref_two_sided(sides, lnH, lambda theta, tilde, signed, cluster: (
+            ref_reverse_update(theta, u, signed, 0.3, cluster), tilde))
+        assert_state_holds(got, want)
+        assert (got.a_i, got.A_i, got.sigma_max_running) == (0.3, 0.7, 0.5)
+        now = (state.mu, state.sigma, state.tilde_mu, state.tilde_sigma, u, lnH)
+        assert all(same_bits(a, b) for a, b in zip(now, before))
+
+    def test_accel_update(self, shape, lnh_case):
+        state, sides, u, lnH, J = two_sided_case(shape, lnh_case)
+        config = SolverConfig(alpha=0.2, gamma=0.5)
+        s_i, sigma_max = noise_strength(J, 0.5)
+        a_next, A_next = step_size_advance(0.3, 0.7, s_i, 0.2, 0.5)
+        got, got_s = accel_update(state, u, lnH, J, config)
+
+        def step(theta, tilde, signed, cluster):
+            g = ref_md_gradient(theta, u, signed, cluster)
+            return ref_agd_plus_step(theta, tilde, *g, 0.3, 0.7, a_next, A_next)
+
+        assert_state_holds(got, ref_two_sided(sides, lnH, step))
+        assert (got_s, got.a_i, got.A_i, got.sigma_max_running) == (s_i, a_next, A_next, sigma_max)
+        assert_state_holds(state, sides)
+
+
+class TestPolicyParamsConstructions:
+    """A validated PolicyParams is built only at an interface: two per
+    iteration for the sampler's arguments, plus the prior once per solve."""
+
+    @pytest.mark.parametrize("variant", ["accel", "reject"])
+    def test_at_most_two_per_iteration(self, monkeypatch, variant):
+        built = []
+        original = PolicyParams.__post_init__
+
+        def counted(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(PolicyParams, "__post_init__", counted)
+        env = make_env("pendulum_swingup")
+        config = SolverConfig(n_candidates=32, n_oversample=128, horizon=12, max_iterations=8)
+        state = None
+        for step in range(3):
+            built.clear()
+            result, state = solve(env, env.initial_state, config, variant=variant, prev=state, step=step)
+            assert result.iterations == 8
+            assert len(built) <= 2 * result.iterations + 1, (step, len(built))

@@ -178,39 +178,39 @@ class TestMirrorMaps:
     def test_unit_reference_scale(self):
         theta = random_params(np.random.default_rng(2))
         ref = PolicyParams(np.zeros(theta.mu.shape), np.ones(theta.mu.shape))
-        z_mu, _ = mirror_map(theta, ref)
+        z_mu, _ = mirror_map(theta.mu, theta.sigma, ref.sigma)
         assert np.allclose(z_mu, theta.mu)
 
     def test_scale_fixed_point(self):
         p = random_params(np.random.default_rng(4))
-        _, z_sigma = mirror_map(p, p)
+        _, z_sigma = mirror_map(p.mu, p.sigma, p.sigma)
         assert np.allclose(z_sigma, 0.0)
 
     def test_hand_substitution(self):
-        z_mu, _ = mirror_map(params_1d(3.0, 1.0), params_1d(0.0, 2.0))
+        z_mu, _ = mirror_map(np.array([[3.0]]), np.array([[1.0]]), np.array([[2.0]]))
         assert z_mu[0, 0] == pytest.approx(0.75, rel=1e-12)
 
     def test_inverse_fixed_point(self):
         ref = params_1d(0.0, 1.7)
-        out = mirror_inverse(np.zeros((1, 1)), np.zeros((1, 1)), ref)
-        assert out.sigma[0, 0] == pytest.approx(1.7, rel=1e-12)
+        _, sigma = mirror_inverse(np.zeros((1, 1)), np.zeros((1, 1)), ref.sigma)
+        assert sigma[0, 0] == pytest.approx(1.7, rel=1e-12)
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             theta = random_params(rng)
             ref = random_params(rng)
-            back = mirror_inverse(*mirror_map(theta, ref), ref)
-            assert np.allclose(back.mu, theta.mu, rtol=1e-9, atol=1e-12)
-            assert np.allclose(back.sigma, theta.sigma, rtol=1e-9)
+            mu, sigma = mirror_inverse(*mirror_map(theta.mu, theta.sigma, ref.sigma), ref.sigma)
+            assert np.allclose(mu, theta.mu, rtol=1e-9, atol=1e-12)
+            assert np.allclose(sigma, theta.sigma, rtol=1e-9)
 
     def test_hand_round_trip(self):
         ref = params_1d(0.0, 2.0)
-        out = mirror_inverse(np.zeros((1, 1)), np.full((1, 1), 0.25), ref)
+        mu, sigma = mirror_inverse(np.zeros((1, 1)), np.full((1, 1), 0.25), ref.sigma)
         expected = 0.5 * (1.0 + 2.0 * np.sqrt(4.25))
-        assert out.sigma[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert out.sigma[0, 0] == pytest.approx(2.56155, abs=5e-6)
-        _, z_sigma = mirror_map(out, ref)
+        assert sigma[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert sigma[0, 0] == pytest.approx(2.56155, abs=5e-6)
+        _, z_sigma = mirror_map(mu, sigma, ref.sigma)
         assert z_sigma[0, 0] == pytest.approx(0.25, rel=1e-9)
 
     def test_inverse_sigma_always_positive(self):
@@ -218,9 +218,9 @@ class TestMirrorMaps:
         for _ in range(200):
             ref = random_params(rng)
             scale = 10.0 ** rng.uniform(-3, 9)
-            out = mirror_inverse(rng.normal(0, 1, ref.mu.shape), rng.normal(0, scale, ref.mu.shape), ref)
-            assert np.all(out.sigma > 0.0)
-            assert np.all(np.isfinite(out.sigma))
+            _, sigma = mirror_inverse(rng.normal(0, 1, ref.mu.shape), rng.normal(0, scale, ref.mu.shape), ref.sigma)
+            assert np.all(sigma > 0.0)
+            assert np.all(np.isfinite(sigma))
 
     def test_matches_kl_finite_differences(self):
         # The mirror map is the KL gradient up to the anchor-dependent
@@ -230,8 +230,8 @@ class TestMirrorMaps:
         for _ in range(20):
             theta = random_params(rng, sigma_range=(0.5, 3.0))
             ref = random_params(rng, sigma_range=(0.5, 3.0))
-            z_mu, z_sigma = mirror_map(theta, ref)
-            z0_mu, z0_sigma = mirror_map(ref, ref)
+            z_mu, z_sigma = mirror_map(theta.mu, theta.sigma, ref.sigma)
+            z0_mu, z0_sigma = mirror_map(ref.mu, ref.sigma, ref.sigma)
             for idx in np.ndindex(theta.mu.shape):
                 mu_p, mu_m = theta.mu.copy(), theta.mu.copy()
                 mu_p[idx] += h

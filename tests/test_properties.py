@@ -19,10 +19,29 @@ def params_1d(mu, sigma):
 @settings(deadline=None)
 @given(mu=MEANS, sigma=SCALES, mu_ref=MEANS, sigma_ref=SCALES)
 def test_mirror_round_trip(mu, sigma, mu_ref, sigma_ref):
-    ref = params_1d(mu_ref, sigma_ref)
-    back = mirror_inverse(*mirror_map(params_1d(mu, sigma), ref), ref)
-    assert back.mu[0, 0] == pytest.approx(mu, rel=1e-9, abs=1e-12)
-    assert back.sigma[0, 0] == pytest.approx(sigma, rel=1e-9)
+    ref, theta = params_1d(mu_ref, sigma_ref), params_1d(mu, sigma)
+    back_mu, back_sigma = mirror_inverse(*mirror_map(theta.mu, theta.sigma, ref.sigma), ref.sigma)
+    assert back_mu[0, 0] == pytest.approx(mu, rel=1e-9, abs=1e-12)
+    assert back_sigma[0, 0] == pytest.approx(sigma, rel=1e-9)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@settings(deadline=None)
+@given(
+    mu=st.lists(MEANS, min_size=4, max_size=4),
+    sigma=st.lists(SCALES, min_size=4, max_size=4),
+    sigma_ref=st.lists(SCALES, min_size=4, max_size=4),
+)
+def test_side_stacked_mirror_round_trip_has_the_per_side_bits(mu, sigma, sigma_ref):
+    # both policy sides, (2, A, H) = (2, 1, 2), against one (A, H) side at a time
+    mu, sigma, sigma_ref = (np.reshape(x, (2, 1, 2)) for x in (mu, sigma, sigma_ref))
+    stacked = mirror_inverse(*mirror_map(mu, sigma, sigma_ref), sigma_ref)
+    for k in (0, 1):
+        one = mirror_inverse(*mirror_map(mu[k], sigma[k], sigma_ref[k]), sigma_ref[k])
+        assert same_bits(stacked[0][k], one[0]) and same_bits(stacked[1][k], one[1])
 
 
 @settings(deadline=None)
@@ -52,7 +71,7 @@ def test_signed_weight_sum_at_extreme_cost_spreads(backend, beta, quantile, offs
 )
 def test_nonfinite_mirror_point_rejected(bad, in_sigma, index, sigma_ref):
     ref = PolicyParams(np.zeros((2, 3)), np.full((2, 3), sigma_ref))
-    z_mu, z_sigma = mirror_map(ref, ref)
+    z_mu, z_sigma = mirror_map(ref.mu, ref.sigma, ref.sigma)
     (z_sigma if in_sigma else z_mu)[index] = bad
     with pytest.raises(ValueError, match="mirror point entries must be finite"):
-        mirror_inverse(z_mu, z_sigma, ref)
+        mirror_inverse(z_mu, z_sigma, ref.sigma)

@@ -38,6 +38,22 @@ def params_1d(mu, sigma):
     return PolicyParams(np.array([[float(mu)]]), np.array([[float(sigma)]]))
 
 
+def state_of(plus, minus, tilde_plus, tilde_minus, **accumulators):
+    """A SolverState holding the given per-side policies."""
+    return SolverState(
+        np.stack((plus.mu, minus.mu)), np.stack((plus.sigma, minus.sigma)),
+        np.stack((tilde_plus.mu, tilde_minus.mu)), np.stack((tilde_plus.sigma, tilde_minus.sigma)), **accumulators,
+    )
+
+
+def agd(theta, tilde, *args, anchor=None):
+    """agd_plus_step on PolicyParams."""
+    new, new_tilde = agd_plus_step(
+        (theta.mu, theta.sigma), (tilde.mu, tilde.sigma), *args, anchor=None if anchor is None else anchor.sigma
+    )
+    return PolicyParams(*new), PolicyParams(*new_tilde)
+
+
 DIVERGING_VIOLATION = 5.0
 
 
@@ -100,19 +116,19 @@ class TestMdGradient:
     def test_zero_weights_zero_gradient(self):
         theta = standard_prior(2, 3)
         u = np.random.default_rng(1).normal(0, 1, (6, 2, 3))
-        g_mu, g_sigma = md_gradient(theta, u, np.zeros(6), np.arange(6))
+        g_mu, g_sigma = md_gradient(theta.mu, theta.sigma, u, np.zeros(6), np.arange(6))
         assert np.allclose(g_mu, 0.0)
         assert np.allclose(g_sigma, 0.0)
 
     def test_sign_pulls_mean_toward_good_candidate(self):
         theta = params_1d(0.0, 1.0)
         u = np.array([[[0.8]]])
-        g_mu, _ = md_gradient(theta, u, np.array([1.0]), np.array([0]))
+        g_mu, _ = md_gradient(theta.mu, theta.sigma, u, np.array([1.0]), np.array([0]))
         assert g_mu[0, 0] < 0.0  # the MD step mu <- mu - alpha*g then increases mu
 
     def test_empty_cluster_raises(self):
         with pytest.raises(ValueError, match="empty cluster"):
-            md_gradient(standard_prior(1, 1), np.zeros((2, 1, 1)), np.ones(2), np.array([], dtype=int))
+            md_gradient(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((2, 1, 1)), np.ones(2), np.array([], dtype=int))
 
     def test_finite_difference_oracle(self):
         # objective: (1/|C|) sum_C (-lnH^n) ln pi(U^n; theta)
@@ -127,7 +143,7 @@ class TestMdGradient:
             vals = log_density(p, u[cluster])
             return float((-lnH[cluster] * vals).mean())
 
-        g_mu, g_sigma = md_gradient(theta, u, lnH, cluster)
+        g_mu, g_sigma = md_gradient(theta.mu, theta.sigma, u, lnH, cluster)
         h = 1e-5
         for idx in np.ndindex(theta.mu.shape):
             mu_p, mu_m = theta.mu.copy(), theta.mu.copy()
@@ -168,7 +184,7 @@ class TestReverseUpdate:
     def test_hand_mirror_step(self):
         # single candidate at U = 1 with lnH = 1 gives g_mu = -1, g_sigma = 0
         theta = params_1d(0.0, 1.0)
-        out = reverse_update(theta, np.array([[[1.0]]]), np.array([1.0]), 0.1, np.array([0]))
+        out = reverse_update(theta, np.array([[[1.0]]]), np.array([1.0]), 0.1)
         assert out.mu[0, 0] == pytest.approx(0.1, rel=1e-12)
         assert out.sigma[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -193,7 +209,7 @@ class TestReverseUpdate:
         w = forward_weights(J, config)
         mle, _ = forward_update(standard_prior(1, 1), u, w, 1.0)
         lnH = signed_log_weights(J, config)
-        g_mu, g_sigma = md_gradient(mle, u, lnH, np.arange(64))
+        g_mu, g_sigma = md_gradient(mle.mu, mle.sigma, u, lnH, np.arange(64))
         assert np.allclose(g_mu, 0.0, atol=1e-10)
         assert np.allclose(g_sigma, 0.0, atol=1e-10)
 
@@ -202,11 +218,11 @@ class TestRejectUpdate:
     """The two-sided step, pinned for reject and for accel alike."""
 
     def make_state(self):
-        return SolverState(
-            theta_plus=params_1d(0.0, 1.0),
-            theta_minus=params_1d(0.0, 1.0),
-            theta_tilde_plus=params_1d(0.0, 1.0),
-            theta_tilde_minus=params_1d(0.0, 1.0),
+        return state_of(
+            params_1d(0.0, 1.0),
+            params_1d(0.0, 1.0),
+            params_1d(0.0, 1.0),
+            params_1d(0.0, 1.0),
             a_i=0.05,
             A_i=0.05,
         )
@@ -394,7 +410,7 @@ class TestStepSizeAdvance:
 
 def agd_original_oracle(theta1, anchor, grads, alpha):
     """Three-variable AGD+ recursion on a static mirror space (test oracle)."""
-    z_mu, z_sigma = mirror_map(theta1, anchor)
+    z_mu, z_sigma = mirror_map(theta1.mu, theta1.sigma, anchor.sigma)
     y_mu, y_sigma = theta1.mu.copy(), theta1.sigma.copy()
     theta = theta1
     out = [theta1]
@@ -406,7 +422,7 @@ def agd_original_oracle(theta1, anchor, grads, alpha):
         A_next = A_i + a_next
         z_mu = z_mu - a_i * g_mu
         z_sigma = z_sigma - a_i * g_sigma
-        inv = mirror_inverse(z_mu, z_sigma, anchor)
+        inv = PolicyParams(*mirror_inverse(z_mu, z_sigma, anchor.sigma))
         y_mu = (A_prev / A_i) * y_mu + (a_i / A_i) * inv.mu
         y_sigma = (A_prev / A_i) * y_sigma + (a_i / A_i) * inv.sigma
         theta = PolicyParams(
@@ -420,7 +436,7 @@ def agd_original_oracle(theta1, anchor, grads, alpha):
 
 def agd_momentum_oracle(theta1, anchor, grads, alpha):
     """Momentum-form AGD+ recursion on a static mirror space (test oracle)."""
-    z_mu, z_sigma = mirror_map(theta1, anchor)
+    z_mu, z_sigma = mirror_map(theta1.mu, theta1.sigma, anchor.sigma)
     inv_prev = theta1
     theta = theta1
     out = [theta1]
@@ -432,7 +448,7 @@ def agd_momentum_oracle(theta1, anchor, grads, alpha):
         A_next = A_i + a_next
         z_mu = z_mu - a_i * g_mu
         z_sigma = z_sigma - a_i * g_sigma
-        inv = mirror_inverse(z_mu, z_sigma, anchor)
+        inv = PolicyParams(*mirror_inverse(z_mu, z_sigma, anchor.sigma))
         theta = PolicyParams(
             (A_i / A_next) * theta.mu + (a_next / A_next) * inv.mu + (a_i / A_next) * (inv.mu - inv_prev.mu),
             (A_i / A_next) * theta.sigma
@@ -452,7 +468,7 @@ class TestAgdPlusStep:
         a, A = 0.05, 0.05
         for i in range(2, 10):
             a_next, A_next = step_size_advance(a, A, 0.0, 0.05, 0.0)
-            theta, tilde = agd_plus_step(
+            theta, tilde = agd(
                 theta, tilde, np.zeros((1, 1)), np.zeros((1, 1)), a, A, a_next, A_next
             )
             a, A = a_next, A_next
@@ -481,7 +497,7 @@ class TestAgdPlusStep:
             A_i = A_prev + a_i
             a_next = alpha * (i + 1)
             A_next = A_i + a_next
-            theta, tilde = agd_plus_step(
+            theta, tilde = agd(
                 theta, tilde, g_mu, g_sigma, a_i, A_i, a_next, A_next, anchor=anchor
             )
             impl.append(theta)
@@ -516,8 +532,8 @@ class TestAcceleration:
         plain = []
         for _ in range(400):
             g_mu, g_sigma = quadratic_gradient(theta)
-            z_mu, z_sigma = mirror_map(theta, theta)
-            theta = mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta)
+            z_mu, z_sigma = mirror_map(theta.mu, theta.sigma, theta.sigma)
+            theta = PolicyParams(*mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta.sigma))
             plain.append(theta)
 
         theta, tilde = start, start
@@ -527,7 +543,7 @@ class TestAcceleration:
             a_next = a_i + alpha
             A_next = A_i + a_next
             g_mu, g_sigma = quadratic_gradient(theta)
-            theta, tilde = agd_plus_step(theta, tilde, g_mu, g_sigma, a_i, A_i, a_next, A_next)
+            theta, tilde = agd(theta, tilde, g_mu, g_sigma, a_i, A_i, a_next, A_next)
             accel.append(theta)
             a_i, A_i = a_next, A_next
 
@@ -541,16 +557,16 @@ class TestWarmStart:
     def test_eta_zero_cold_start(self):
         prior = standard_prior(2, 6)
         star = PolicyParams(np.full((2, 6), 0.7), np.full((2, 6), 0.4))
-        theta1, a1, A1 = warm_start(star, prior, a_prv=0.9, eta=0.0, alpha=0.05)
-        assert np.array_equal(theta1.mu, prior.mu)
-        assert np.array_equal(theta1.sigma, prior.sigma)
+        (mu1, sigma1), a1, A1 = warm_start((star.mu, star.sigma), prior, a_prv=0.9, eta=0.0, alpha=0.05)
+        assert np.array_equal(mu1, prior.mu)
+        assert np.array_equal(sigma1, prior.sigma)
         assert a1 == pytest.approx(0.05)
         assert A1 == pytest.approx(0.05)
 
     def test_hand_accumulators(self):
         prior = standard_prior(1, 4)
         star = standard_prior(1, 4)
-        _, a1, A1 = warm_start(star, prior, a_prv=0.6, eta=1.0, alpha=0.05)
+        _, a1, A1 = warm_start((star.mu, star.sigma), prior, a_prv=0.6, eta=1.0, alpha=0.05)
         assert a1 == pytest.approx(0.6, rel=1e-12)
         assert A1 == pytest.approx(3.9, rel=1e-12)
 
@@ -558,19 +574,19 @@ class TestWarmStart:
         prior = standard_prior(1, 4)
         mu_star = np.array([[10.0, 20.0, 30.0, 40.0]])
         star = PolicyParams(mu_star, np.ones((1, 4)))
-        theta1, _, _ = warm_start(star, prior, a_prv=0.05, eta=0.5, alpha=0.05)
-        assert np.allclose(theta1.mu[0, :3], 0.5 * np.array([20.0, 30.0, 40.0]))
-        assert theta1.mu[0, 3] == 0.0  # last slot keeps the prior
+        (mu1, _), _, _ = warm_start((star.mu, star.sigma), prior, a_prv=0.05, eta=0.5, alpha=0.05)
+        assert np.allclose(mu1[0, :3], 0.5 * np.array([20.0, 30.0, 40.0]))
+        assert mu1[0, 3] == 0.0  # last slot keeps the prior
 
     def test_idempotent_on_equal_inputs(self):
         prior = PolicyParams(np.full((1, 5), 0.3), np.full((1, 5), 1.1))
-        theta1, _, _ = warm_start(prior, prior, a_prv=0.2, eta=0.7, alpha=0.05)
-        assert np.allclose(theta1.mu, prior.mu)
-        assert np.allclose(theta1.sigma, prior.sigma)
+        (mu1, sigma1), _, _ = warm_start((prior.mu, prior.sigma), prior, a_prv=0.2, eta=0.7, alpha=0.05)
+        assert np.allclose(mu1, prior.mu)
+        assert np.allclose(sigma1, prior.sigma)
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            warm_start(standard_prior(1, 2), standard_prior(1, 2), 0.1, 1.5, 0.05)
+            warm_start((np.zeros((1, 2)), np.ones((1, 2))), standard_prior(1, 2), 0.1, 1.5, 0.05)
 
 
 def quick_config(**kwargs):
@@ -728,6 +744,33 @@ class TestSolve:
         env = make_env(env_name)
         with pytest.raises(ValueError, match=r"prev.theta_plus has shape \(1, 4\), expected " + expected):
             solve(env, env.initial_state, quick_config(horizon=horizon), prev=state, step=1)
+
+    @pytest.mark.parametrize("name", ["mu", "sigma", "tilde_mu", "tilde_sigma"])
+    def test_every_stored_array_of_prev_checked(self, name):
+        env = make_env("quadratic_bowl")
+        config = quick_config(max_iterations=2)
+        _, state = solve(env, env.initial_state, config)
+        side = "theta_tilde_plus" if name.startswith("tilde") else "theta_plus"
+        message = rf"prev.{side} has shape \(1, 3\), expected \(1, 4\) \(prev.{name}: \(2, 1, 3\), not \(2, 1, 4\)\)"
+        with pytest.raises(ValueError, match=message):
+            solve(env, env.initial_state, config, prev=replace(state, **{name: getattr(state, name)[..., :3]}), step=1)
+        with pytest.raises(ValueError, match=rf"\(prev.{name}: \(1, 4\), not \(2, 1, 4\)\)"):
+            solve(env, env.initial_state, config, prev=replace(state, **{name: getattr(state, name)[0]}), step=1)
+
+    def test_side_accessors_return_frozen_copies(self):
+        env = make_env("point_reacher")
+        _, state = solve(env, env.initial_state, quick_config(max_iterations=3))
+        stored = [a.copy() for a in (state.mu, state.sigma, state.tilde_mu, state.tilde_sigma)]
+        for name in ("theta_plus", "theta_minus", "theta_tilde_plus", "theta_tilde_minus"):
+            params = getattr(state, name)
+            assert isinstance(params, PolicyParams) and params.mu.shape == (2, 4)
+            with pytest.raises(ValueError, match="read-only"):
+                params.mu[0, 0] = 5.0
+            for array in (params.mu, params.sigma):
+                array.setflags(write=True)  # the accessor's own copy, so even a forced write
+                array[...] = 7.0  # does not reach the state
+        now = (state.mu, state.sigma, state.tilde_mu, state.tilde_sigma)
+        assert all(np.array_equal(a, b) for a, b in zip(now, stored))
 
     @pytest.mark.parametrize(
         "x_t, shape",
