@@ -18,6 +18,15 @@ SIGMA_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _check_values(mu: np.ndarray, sigma: np.ndarray, field: str = "") -> None:
+    """The value rule of every policy: mu finite, sigma finite and >= SIGMA_FLOOR.
+    `field` prefixes the names in the error, as in "prev.tilde_sigma"."""
+    if not np.isfinite(mu).all():
+        raise ValueError(f"{field}mu must be finite")
+    if not np.isfinite(sigma).all() or np.less(sigma, SIGMA_FLOOR).any():
+        raise ValueError(f"{field}sigma must be finite and >= {SIGMA_FLOOR}")
+
+
 @dataclass(frozen=True)
 class PolicyParams:
     """Mean and scale of a diagonal Gaussian over (action_dim, horizon)."""
@@ -32,10 +41,7 @@ class PolicyParams:
             raise ValueError(f"mu shape {mu.shape} != sigma shape {sigma.shape}")
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"expected 2-D (action_dim, horizon) arrays, got {mu.shape}")
-        if not np.isfinite(mu).all():
-            raise ValueError("mu must be finite")
-        if not np.isfinite(sigma).all() or (sigma < SIGMA_FLOOR).any():
-            raise ValueError(f"sigma must be finite and >= {SIGMA_FLOOR}")
+        _check_values(mu, sigma)
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)

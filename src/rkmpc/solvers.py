@@ -9,7 +9,11 @@ Variants:
 
 All four share one iteration loop in `solve` (sample, roll out, weight,
 update); only the sampler, the weight map and the update step differ per
-variant.  Updates are pure functions; `solve` owns the per-step state, the
+variant.  Every update takes a `SolverState` and returns a new one (accel
+also returns its noise strength s_i), never writing into its input: forward
+and reverse step theta+ only, reverse and reject run one mirror-descent step
+over the clusters they are given, and all but accel return their input
+state itself when every weight is zero.  `solve` owns the per-step state, the
 deadline bookkeeping, and the counter-based RNG streams that make each
 iteration's batch a function of (seed, step, iteration) alone.
 """
@@ -17,6 +21,7 @@ iteration's batch a function of (seed, step, iteration) alone.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +31,7 @@ from .envs import EnvSpec, rollout_batch
 from .policy import (
     SIGMA_FLOOR,
     PolicyParams,
+    _check_values,
     log_density,
     mirror_inverse,
     mirror_map,
@@ -57,6 +63,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_oversample is None:
             object.__setattr__(self, "n_oversample", 4 * self.n_candidates)
+        for name in ("n_candidates", "n_oversample", "horizon", "max_iterations"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_candidates < 2:
             raise ValueError(f"need n_candidates >= 2, got {self.n_candidates}")
         if self.n_oversample < self.n_candidates:
@@ -109,16 +118,16 @@ class ControlResult:
 
 
 def forward_update(
-    theta_i: PolicyParams,
+    state: SolverState,
     u_batch: np.ndarray,
     weights: np.ndarray,
     alpha: float,
-) -> tuple[PolicyParams, bool]:
-    """Smoothed weighted-MLE refit; returns (params, all_weights_zero flag)."""
+) -> SolverState:
+    """Smoothed weighted-MLE refit of theta+; `state` itself when every weight is zero."""
     w = np.asarray(weights, dtype=float)
     total = w.sum()
     if total <= 0.0:
-        return theta_i, True
+        return state
     wc = w[:, None, None] / total
     tmp = wc * u_batch
     mu_star = tmp.sum(axis=0)
@@ -127,9 +136,9 @@ def forward_update(
     tmp *= wc
     var_star = tmp.sum(axis=0)
     sigma_star = np.sqrt(var_star)
-    mu = (1.0 - alpha) * theta_i.mu + alpha * mu_star
-    sigma = (1.0 - alpha) * theta_i.sigma + alpha * sigma_star
-    return PolicyParams(mu, np.maximum(sigma, SIGMA_FLOOR)), False
+    mu = (1.0 - alpha) * state.mu[0] + alpha * mu_star
+    sigma = (1.0 - alpha) * state.sigma[0] + alpha * sigma_star
+    return _stepped(state, slice(0, 1), mu=mu, sigma=np.maximum(sigma, SIGMA_FLOOR))
 
 
 def md_gradient(
@@ -162,29 +171,11 @@ def md_gradient(
     return g_mu, g_sigma
 
 
-def _md_step(mu: np.ndarray, sigma: np.ndarray, g_mu: np.ndarray, g_sigma: np.ndarray, alpha: float) -> Pair:
-    """One mirror-descent step from (mu, sigma), in the geometry anchored there."""
-    z_mu, z_sigma = mirror_map(mu, sigma, sigma)
-    return mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, sigma)
-
-
-def reverse_update(
-    theta_i: PolicyParams,
-    u_batch: np.ndarray,
-    lnH: np.ndarray,
-    alpha: float,
-) -> PolicyParams:
-    """One mirror-descent step anchored at theta_i, over every candidate."""
-    g_mu, g_sigma = md_gradient(theta_i.mu, theta_i.sigma, u_batch, lnH, np.arange(u_batch.shape[0]))
-    return PolicyParams(*_md_step(theta_i.mu, theta_i.sigma, g_mu, g_sigma, alpha))
-
-
-def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray):
-    """(sides, g_mu, g_sigma): the slice of the side axis whose clusters are
-    not empty, and its gradients, theta+ over C+ with lnH and theta- over C-
-    with -lnH (so pi- models the bad candidates), each over its own cluster."""
+def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, clusters: tuple):
+    """(sides, g_mu, g_sigma): the slice of the side axis whose clusters (C+, C-)
+    are not empty, and its gradients, theta+ over C+ with lnH and theta- over
+    C- with -lnH (so pi- models the bad candidates), each over its own cluster."""
     lnH = np.asarray(lnH, dtype=float)
-    clusters = partition_clusters(lnH)
     live = [k for k in (0, 1) if clusters[k].size]
     g_mu = np.empty((len(live),) + state.mu.shape[1:])
     g_sigma = np.empty_like(g_mu)
@@ -203,6 +194,29 @@ def _stepped(state: SolverState, sides: slice, **fields) -> SolverState:
     return replace(state, **fields)
 
 
+def _mirror_descent(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, alpha: float, clusters: tuple):
+    """One mirror-descent step of each side whose cluster is not empty, in the
+    geometry anchored at that side; `state` itself when both are empty."""
+    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH, clusters)
+    if not g_mu.shape[0]:
+        return state
+    mu, sigma = state.mu[sides], state.sigma[sides]
+    z_mu, z_sigma = mirror_map(mu, sigma, sigma)
+    mu, sigma = mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, sigma)
+    return _stepped(state, sides, mu=mu, sigma=sigma)
+
+
+def reverse_update(
+    state: SolverState,
+    u_batch: np.ndarray,
+    lnH: np.ndarray,
+    alpha: float,
+) -> SolverState:
+    """One mirror-descent step of theta+ over every candidate; `state` itself when lnH is all zero."""
+    plus = np.arange(u_batch.shape[0] if np.any(lnH) else 0)  # C+ is every candidate, C- none
+    return _mirror_descent(state, u_batch, lnH, alpha, (plus, np.arange(0)))
+
+
 def reject_update(
     state: SolverState,
     u_batch: np.ndarray,
@@ -210,9 +224,7 @@ def reject_update(
     alpha: float,
 ) -> SolverState:
     """One mirror-descent step of both sides, each under its own geometry."""
-    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH)
-    mu, sigma = _md_step(state.mu[sides], state.sigma[sides], g_mu, g_sigma, alpha)
-    return _stepped(state, sides, mu=mu, sigma=sigma)
+    return _mirror_descent(state, u_batch, lnH, alpha, partition_clusters(lnH))
 
 
 def selection_log_scores(
@@ -329,7 +341,7 @@ def accel_update(
     """
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
-    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH)
+    sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH, partition_clusters(lnH))
     theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
     (mu, sigma), (t_mu, t_sigma) = agd_plus_step(theta, tilde, g_mu, g_sigma, state.a_i, state.A_i, a_next, A_next)
     fields = {"a_i": a_next, "A_i": A_next, "sigma_max_running": sigma_max}
@@ -379,6 +391,8 @@ def _initial_state(
         if got != want:
             side = "theta_tilde_plus" if name.startswith("tilde") else "theta_plus"
             raise ValueError(f"prev.{side} has shape {got[1:]}, expected {want[1:]} (prev.{name}: {got}, not {want})")
+    _check_values(prev.mu, prev.sigma, "prev.")
+    _check_values(prev.tilde_mu, prev.tilde_sigma, "prev.tilde_")
     (mu, sigma), a1, A1 = warm_start((prev.mu, prev.sigma), prior, prev.a_i, config.eta, config.alpha)
     return SolverState(mu, sigma, mu, sigma, a_i=a1, A_i=A1)
 
@@ -393,16 +407,12 @@ def _update(
 ) -> tuple[SolverState, bool, float]:
     """One variant's policy update from this batch's weights w.
 
-    Returns (state, moved, s_i): moved says whether theta+ got a positive
-    update, and s_i is the noise strength (accel only, else 0).
+    Returns (state, moved, s_i): moved says whether C+ is non-empty, and s_i
+    is the noise strength (accel only, else 0).
     """
-    if variant in ("forward", "reverse"):
-        if variant == "forward":
-            theta, zero = forward_update(state.theta_plus, u_batch, w, config.alpha)
-        else:
-            zero = not (w != 0.0).any()
-            theta = state.theta_plus if zero else reverse_update(state.theta_plus, u_batch, w, config.alpha)
-        return _stepped(state, slice(0, 1), mu=theta.mu, sigma=theta.sigma), not zero, 0.0
+    if variant in ("forward", "reverse"):  # each returns `state` itself exactly when C+ is empty
+        new = (forward_update if variant == "forward" else reverse_update)(state, u_batch, w, config.alpha)
+        return new, new is not state, 0.0
     moved = partition_clusters(w)[0].size > 0
     if variant == "reject":
         return reject_update(state, u_batch, w, config.alpha), moved, 0.0

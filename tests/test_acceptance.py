@@ -223,10 +223,7 @@ class TestAcceptance:
                 J = (np.tanh(u[:, 0, 0]) - target) ** 2
                 lnH = signed_log_weights(J, wc)
                 if variant == "reverse":
-                    th = reverse_update(state.theta_plus, u, lnH, alpha)
-                    mu = np.stack((th.mu, state.mu[1]))
-                    sigma = np.stack((th.sigma, state.sigma[1]))
-                    state = SolverState(mu, sigma, mu, sigma, a_i=state.a_i, A_i=state.A_i)
+                    state = reverse_update(state, u, lnH, alpha)
                 else:
                     state, _ = accel_update(state, u, lnH, J, cfg)
                 if abs(math.tanh(state.theta_plus.mu[0, 0]) - target) < 0.01:

@@ -13,6 +13,7 @@ NORTH_STAR runs accel and reject at the real-time benchmark's shape.
 BULK runs the shapes of the bulk benchmark workloads at a few steps each:
 reject selecting N = 1024 of n_oversample = 4096 candidates, and forward
 refits of a 2-D action at N = 1024, both over H = 50 in 4-step rollout blocks.
+Reverse runs the forward case's shape, the only golden of reverse at A = 2.
 """
 
 from pathlib import Path
@@ -33,6 +34,8 @@ BULK = {
     "overlap_trap_reject": ["--env", "overlap_trap", "--solver", "reject", "--candidates", "1024",
                             "--oversample", "4096", "--horizon", "50", "--iterations", "4", "--steps", "4", "--seed", "0"],
     "point_reacher_forward": ["--env", "point_reacher", "--solver", "forward", "--candidates", "1024",
+                              "--horizon", "50", "--iterations", "8", "--steps", "4", "--seed", "0"],
+    "point_reacher_reverse": ["--env", "point_reacher", "--solver", "reverse", "--candidates", "1024",
                               "--horizon", "50", "--iterations", "8", "--steps", "4", "--seed", "0"],
 }
 # The real-time benchmark's north-star shape (N = 32, n_oversample = 128,

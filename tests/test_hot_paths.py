@@ -7,10 +7,12 @@ kept here as the reference, and its peak of traced memory is pinned with
 `tracemalloc` (numpy reports its data buffers to it, so the peaks do not
 depend on the machine).
 
-`reject_update` and `accel_update` step both policy sides at once over a
-(2, A, H) side axis.  They are pinned bit for bit against the per-side
-mirror-descent and AGD+ steps they replaced, kept here as the reference, and
-a solve builds at most two validated `PolicyParams` per iteration.
+Every update steps a `SolverState`.  `reject_update` and `accel_update` step
+both policy sides at once over a (2, A, H) side axis; `forward_update` and
+`reverse_update` step theta+ alone.  They are pinned bit for bit against the
+per-side refit, mirror-descent and AGD+ steps they replaced, kept here as the
+reference, and a solve builds one validated `PolicyParams` per iteration for
+forward and reverse, two for reject and accel, plus the prior once.
 """
 
 import tracemalloc
@@ -29,6 +31,7 @@ from rkmpc.solvers import (
     md_gradient,
     noise_strength,
     reject_update,
+    reverse_update,
     solve,
     step_size_advance,
 )
@@ -94,6 +97,12 @@ def batch_of(shape):
     return shape if len(shape) == 3 else (1,) + shape
 
 
+def one_sided(params):
+    """A SolverState with params on both sides and as both momentum points."""
+    mu, sigma = np.stack((params.mu, params.mu)), np.stack((params.sigma, params.sigma))
+    return SolverState(mu, sigma, mu, sigma)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 class TestBitIdenticalToReference:
     def test_sample_batch(self, shape):
@@ -120,10 +129,11 @@ class TestBitIdenticalToReference:
         params, u = case(batch_of(shape))
         weights = np.random.default_rng(2).exponential(1.0, u.shape[0])
         before = u.copy(), weights.copy()
-        got, all_zero = forward_update(params, u, weights, 0.3)
+        state = one_sided(params)
+        got = forward_update(state, u, weights, 0.3)
         mu, sigma = ref_forward_update(params, u, weights, 0.3)
-        assert not all_zero
-        assert same_bits(got.mu, mu) and same_bits(got.sigma, sigma)
+        assert got is not state
+        assert same_bits(got.mu[0], mu) and same_bits(got.sigma[0], sigma)
         assert same_bits(u, before[0]) and same_bits(weights, before[1])
 
     def test_md_gradient(self, shape):
@@ -166,7 +176,7 @@ class TestMemoryPeak:
     def test_forward_update(self):
         params, u = case((1024, 2, 50))
         weights = np.random.default_rng(2).exponential(1.0, u.shape[0])
-        assert peak_bytes(forward_update, params, u, weights, 0.3) <= 1.2 * u.nbytes
+        assert peak_bytes(forward_update, one_sided(params), u, weights, 0.3) <= 1.2 * u.nbytes
 
 
 # The per-side update steps that the side-stacked ones replaced.
@@ -278,11 +288,45 @@ class TestTwoSidedStepBitIdentical:
         assert_state_holds(state, sides)
 
 
-class TestPolicyParamsConstructions:
-    """A validated PolicyParams is built only at an interface: two per
-    iteration for the sampler's arguments, plus the prior once per solve."""
+@pytest.mark.parametrize("lnh_case", sorted(LNH_CASES))
+@pytest.mark.parametrize("shape", UPDATE_SHAPES)
+class TestOneSidedStepBitIdentical:
+    """theta+ steps as the per-policy reference does; theta-, both momentum
+    points and the accumulators keep their bits, and an update whose C+ is
+    empty returns the state itself."""
 
-    @pytest.mark.parametrize("variant", ["accel", "reject"])
+    def check(self, state, sides, got, plus, inputs, before):
+        if plus is None:
+            assert got is state
+        else:
+            assert_state_holds(got, {**sides, "plus": (plus, sides["plus"][1])})
+        assert (got.a_i, got.A_i, got.sigma_max_running) == (0.3, 0.7, 0.5)
+        assert_state_holds(state, sides)
+        assert all(same_bits(a, b) for a, b in zip(inputs, before))
+
+    def test_forward_update(self, shape, lnh_case):
+        state, sides, u, lnH, _ = two_sided_case(shape, lnh_case)
+        weights = np.maximum(lnH, 0.0)  # nonnegative, zero exactly where C+ is empty
+        before = u.copy(), weights.copy()
+        got = forward_update(state, u, weights, 0.3)
+        plus = PolicyParams(*ref_forward_update(sides["plus"][0], u, weights, 0.3)) if weights.any() else None
+        self.check(state, sides, got, plus, (u, weights), before)
+
+    def test_reverse_update(self, shape, lnh_case):
+        state, sides, u, lnH, _ = two_sided_case(shape, lnh_case)
+        before = u.copy(), lnH.copy()
+        got = reverse_update(state, u, lnH, 0.3)
+        everyone = np.arange(shape[0])
+        plus = ref_reverse_update(sides["plus"][0], u, lnH, 0.3, everyone) if lnH.any() else None
+        self.check(state, sides, got, plus, (u, lnH), before)
+
+
+class TestPolicyParamsConstructions:
+    """A validated PolicyParams is built only at an interface: one per
+    iteration for forward and reverse, and two for reject and accel, for the
+    sampler's arguments, plus the prior once per solve."""
+
+    @pytest.mark.parametrize("variant", ["accel", "reject", "forward", "reverse"])
     def test_at_most_two_per_iteration(self, monkeypatch, variant):
         built = []
         original = PolicyParams.__post_init__
@@ -299,4 +343,5 @@ class TestPolicyParamsConstructions:
             built.clear()
             result, state = solve(env, env.initial_state, config, variant=variant, prev=state, step=step)
             assert result.iterations == 8
-            assert len(built) <= 2 * result.iterations + 1, (step, len(built))
+            per_iteration = 2 if variant in ("accel", "reject") else 1
+            assert len(built) <= per_iteration * result.iterations + 1, (step, len(built))

@@ -16,6 +16,7 @@ from rkmpc.policy import (
     standard_prior,
 )
 from rkmpc.solvers import (
+    VARIANTS,
     SolverConfig,
     SolverState,
     accel_update,
@@ -44,6 +45,11 @@ def state_of(plus, minus, tilde_plus, tilde_minus, **accumulators):
         np.stack((plus.mu, minus.mu)), np.stack((plus.sigma, minus.sigma)),
         np.stack((tilde_plus.mu, tilde_minus.mu)), np.stack((tilde_plus.sigma, tilde_minus.sigma)), **accumulators,
     )
+
+
+def one_sided(theta):
+    """A SolverState whose four policies are all theta, for the theta+ updates."""
+    return state_of(theta, theta, theta, theta)
 
 
 def agd(theta, tilde, *args, anchor=None):
@@ -87,29 +93,36 @@ def sleeping_env(seconds):
 class TestForwardUpdate:
     def test_symmetric_candidates(self):
         u = np.array([[[-1.0]], [[1.0]]])
-        theta, zero = forward_update(params_1d(0.3, 1.0), u, np.array([1.0, 1.0]), 1.0)
-        assert not zero
+        start = one_sided(params_1d(0.3, 1.0))
+        out = forward_update(start, u, np.array([1.0, 1.0]), 1.0)
+        assert out is not start
+        theta = out.theta_plus
         assert theta.mu[0, 0] == pytest.approx(0.0)
         assert theta.sigma[0, 0] == pytest.approx(1.0)  # weighted std of {-1, 1}
 
     def test_hand_weighted_mean(self):
         u = np.array([[[-1.0]], [[1.0]]])
-        theta, _ = forward_update(params_1d(0.0, 1.0), u, np.array([2.0, 0.0]), 1.0)
+        theta = forward_update(one_sided(params_1d(0.0, 1.0)), u, np.array([2.0, 0.0]), 1.0).theta_plus
         assert theta.mu[0, 0] == pytest.approx(-1.0)
 
     def test_zero_step(self):
         u = np.random.default_rng(0).normal(0, 1, (8, 1, 1))
         start = params_1d(0.2, 0.7)
-        theta, _ = forward_update(start, u, np.ones(8), 0.0)
+        theta = forward_update(one_sided(start), u, np.ones(8), 0.0).theta_plus
         assert np.array_equal(theta.mu, start.mu)
         assert np.array_equal(theta.sigma, start.sigma)
 
     def test_all_zero_weights_flagged(self):
         u = np.zeros((4, 1, 1))
-        start = params_1d(0.5, 1.0)
-        theta, zero = forward_update(start, u, np.zeros(4), 0.5)
-        assert zero
-        assert theta is start
+        start = one_sided(params_1d(0.5, 1.0))
+        assert forward_update(start, u, np.zeros(4), 0.5) is start
+
+    def test_minus_side_kept(self):
+        u = np.array([[[-1.0]], [[1.0]]])
+        start = state_of(params_1d(0.3, 1.0), params_1d(-2.0, 0.5), params_1d(1.0, 2.0), params_1d(4.0, 3.0))
+        out = forward_update(start, u, np.array([1.0, 1.0]), 0.5)
+        assert np.array_equal(out.mu[1], start.mu[1]) and np.array_equal(out.sigma[1], start.sigma[1])
+        assert np.array_equal(out.tilde_mu, start.tilde_mu) and np.array_equal(out.tilde_sigma, start.tilde_sigma)
 
 
 class TestMdGradient:
@@ -162,9 +175,11 @@ class TestReverseUpdate:
     def test_zero_gradient_fixed_point(self):
         theta = params_1d(0.4, 1.3)
         u = np.full((4, 1, 1), 0.0)
-        out = reverse_update(theta, u, np.zeros(4), 0.5)
-        assert np.allclose(out.mu, theta.mu)
-        assert np.allclose(out.sigma, theta.sigma)
+        start = one_sided(theta)
+        out = reverse_update(start, u, np.zeros(4), 0.5)
+        assert out is start
+        assert np.allclose(out.theta_plus.mu, theta.mu)
+        assert np.allclose(out.theta_plus.sigma, theta.sigma)
 
     def test_step_scales_linearly_with_alpha(self):
         rng = np.random.default_rng(5)
@@ -174,7 +189,7 @@ class TestReverseUpdate:
         deltas = []
         alphas = [0.2, 0.1, 0.05, 0.025]
         for alpha in alphas:
-            out = reverse_update(theta, u, lnH, alpha)
+            out = reverse_update(one_sided(theta), u, lnH, alpha).theta_plus
             deltas.append(abs(out.mu[0, 0] - theta.mu[0, 0]) + abs(out.sigma[0, 0] - theta.sigma[0, 0]))
         deltas = np.array(deltas)
         assert np.all(np.diff(deltas) < 0)
@@ -184,7 +199,7 @@ class TestReverseUpdate:
     def test_hand_mirror_step(self):
         # single candidate at U = 1 with lnH = 1 gives g_mu = -1, g_sigma = 0
         theta = params_1d(0.0, 1.0)
-        out = reverse_update(theta, np.array([[[1.0]]]), np.array([1.0]), 0.1)
+        out = reverse_update(one_sided(theta), np.array([[[1.0]]]), np.array([1.0]), 0.1).theta_plus
         assert out.mu[0, 0] == pytest.approx(0.1, rel=1e-12)
         assert out.sigma[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -195,7 +210,7 @@ class TestReverseUpdate:
         lnH = signed_log_weights((u[:, 0, 0] - 0.5) ** 2, WeightConfig())
         kls = []
         for alpha in [0.4, 0.2, 0.1, 0.05, 0.025]:
-            out = reverse_update(theta, u, lnH, alpha)
+            out = reverse_update(one_sided(theta), u, lnH, alpha).theta_plus
             kl = kl_divergence(out, theta)
             assert math.isfinite(kl)
             kls.append(kl)
@@ -207,7 +222,7 @@ class TestReverseUpdate:
         u = rng.normal(0, 1, (64, 1, 1))
         J = (u[:, 0, 0] - 0.3) ** 2
         w = forward_weights(J, config)
-        mle, _ = forward_update(standard_prior(1, 1), u, w, 1.0)
+        mle = forward_update(one_sided(standard_prior(1, 1)), u, w, 1.0).theta_plus
         lnH = signed_log_weights(J, config)
         g_mu, g_sigma = md_gradient(mle.mu, mle.sigma, u, lnH, np.arange(64))
         assert np.allclose(g_mu, 0.0, atol=1e-10)
@@ -757,6 +772,38 @@ class TestSolve:
         with pytest.raises(ValueError, match=rf"\(prev.{name}: \(1, 4\), not \(2, 1, 4\)\)"):
             solve(env, env.initial_state, config, prev=replace(state, **{name: getattr(state, name)[0]}), step=1)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_positive_update_means_c_plus_stayed_empty(self, variant):
+        bowl = make_env("quadratic_bowl")
+        result, _ = solve(bowl, bowl.initial_state, quick_config(max_iterations=3), variant=variant)
+        assert not result.no_positive_update
+
+        def zeros(x, u=None):
+            return np.zeros(x.shape[0])
+
+        flat = replace(bowl, stage_cost=zeros, terminal_cost=zeros, constraint_penalty=0.0)
+        result, _ = solve(flat, flat.initial_state, quick_config(max_iterations=3), variant=variant)
+        # equal costs give lnH = 0, so C+ stays empty; forward's weights always sum to N
+        assert result.no_positive_update == (variant != "forward")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "name, side, value",
+        [("sigma", 0, math.nan), ("sigma", 1, math.nan), ("sigma", 0, 0.0), ("sigma", 1, -1.0),
+         ("mu", 1, math.inf), ("tilde_mu", 0, math.nan), ("tilde_sigma", 1, 0.0)],
+        ids=["sigma_plus_nan", "sigma_minus_nan", "sigma_zero", "sigma_negative", "mu_inf", "tilde_mu_nan",
+             "tilde_sigma_zero"],
+    )
+    def test_nonfinite_or_sub_floor_prev_rejected(self, variant, name, side, value):
+        env = make_env("quadratic_bowl")
+        config = quick_config(n_candidates=8, max_iterations=2)
+        _, state = solve(env, env.initial_state, config, variant=variant)
+        bad = getattr(state, name).copy()
+        bad[side, 0, 2] = value
+        rule = "finite and >= 1e-06" if name.endswith("sigma") else "finite$"
+        with pytest.raises(ValueError, match=rf"^prev\.{name} must be {rule}"):
+            solve(env, env.initial_state, config, variant=variant, prev=replace(state, **{name: bad}), step=1)
+
     def test_side_accessors_return_frozen_copies(self):
         env = make_env("point_reacher")
         _, state = solve(env, env.initial_state, quick_config(max_iterations=3))
@@ -810,13 +857,22 @@ class TestSolve:
             (SolverConfig, {"eta": 1.5}, r"eta must be in \[0, 1\]"),
             (SolverConfig, {"horizon": 0}, "horizon and max_iterations must be >= 1"),
             (SolverConfig, {"max_iterations": 0}, "horizon and max_iterations must be >= 1"),
+            (SolverConfig, {"n_candidates": 8.5}, "n_candidates must be an integer, got 8.5"),
+            (SolverConfig, {"n_oversample": 20.5}, "n_oversample must be an integer, got 20.5"),
+            (SolverConfig, {"horizon": 3.0}, "horizon must be an integer, got 3.0"),
+            (SolverConfig, {"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
         ],
         ids=[
             "gamma_nan", "gamma_inf", "gamma_overflows_the_step", "kappa_nan", "temperature_nan",
             "one_candidate", "oversample_below_n",
             "gamma_negative", "kappa_negative", "eta_negative", "eta_above_one", "horizon_zero", "iterations_zero",
+            "candidates_float", "oversample_float", "horizon_float", "iterations_float",
         ],
     )
     def test_nan_or_out_of_range_setting_rejected(self, config_cls, kwargs, match):
         with pytest.raises(ValueError, match=match):
             config_cls(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = dict(n_candidates=np.int64(8), n_oversample=np.int64(20), horizon=np.int64(3), max_iterations=np.int64(2))
+        assert SolverConfig(**sizes).n_candidates == 8
