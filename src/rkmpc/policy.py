@@ -21,9 +21,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 def _check_values(mu: np.ndarray, sigma: np.ndarray, field: str = "") -> None:
     """The value rule of every policy: mu finite, sigma finite and >= SIGMA_FLOOR.
     `field` prefixes the names in the error, as in "prev.tilde_sigma"."""
-    if not np.isfinite(mu).all():
+    # count_nonzero, not .all() / .any(): the same test at about half the cost on (A, H) arrays
+    finite = np.isfinite(mu)
+    if np.count_nonzero(finite) != finite.size:
         raise ValueError(f"{field}mu must be finite")
-    if not np.isfinite(sigma).all() or np.less(sigma, SIGMA_FLOOR).any():
+    finite = np.isfinite(sigma)
+    if np.count_nonzero(finite) != finite.size or np.count_nonzero(np.less(sigma, SIGMA_FLOOR)):
         raise ValueError(f"{field}sigma must be finite and >= {SIGMA_FLOOR}")
 
 
@@ -55,10 +58,19 @@ def standard_prior(action_dim: int, horizon: int) -> PolicyParams:
 
 
 def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` pre-squash action sequences, shape (count, A, H)."""
+    """Draw `count` pre-squash action sequences, shape (count, A, H).
+
+    `rng` is a Generator, or an object whose `standard_normal(size)` serves
+    normals drawn beforehand into a buffer its owner hands over (the solver's
+    prefetch); that buffer is transformed in place and returned.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = params.sigma * rng.standard_normal((count,) + params.mu.shape)
+    normals = rng.standard_normal((count,) + params.mu.shape)
+    if isinstance(rng, np.random.Generator):  # fresh normals: a new array for u measured faster than in place
+        u = params.sigma * normals
+    else:
+        u = np.multiply(normals, params.sigma, out=normals)
     u += params.mu
     return u
 

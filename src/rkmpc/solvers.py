@@ -16,12 +16,27 @@ over the clusters they are given, and all but accel return their input
 state itself when every weight is zero.  `solve` owns the per-step state, the
 deadline bookkeeping, and the counter-based RNG streams that make each
 iteration's batch a function of (seed, step, iteration) alone.
+
+Because the streams do not depend on earlier iterations, a reject or accel
+solve that draws at least PREFETCH_MIN_NORMALS oversampled normals per
+iteration (n_oversample * A * H), in a process that may run on two or more
+CPUs, draws iteration i + 1's standard normals and Gumbel keys on one worker
+thread while the calling thread runs iteration i (`rkmpc.prefetch`).  The
+worker only fills one of two buffers the solve owns, from iteration i + 1's
+own Generator in the serial order, so results are bit-identical with or
+without the prefetch.  Sampling, rollouts, env callables, weights and
+updates all stay on the calling thread.  Under a finite deadline a draw is
+made ahead only for an iteration the deadline check is expected to let
+start.  The worker is joined before `solve` returns or raises, after any
+draw in flight, and `wall_time` counts that wait; an exception raised in a
+draw reaches the caller of `solve` unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,6 +60,12 @@ VARIANTS = ("forward", "reverse", "reject", "accel")
 # Added to a batch's worst finite cost to price a diverged (J = +inf) candidate.
 NONFINITE_PENALTY = 1e6
 Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sides stacked ahead
+# Reject and accel draw n_oversample * A * H normals per iteration; from this many
+# on, a solve draws the next iteration's on a worker thread.  In a sweep of reject
+# and accel solves (A = 1 and 2, H = 12..50) the hand-offs cost more than they
+# saved up to 16,384 normals (0.92-1.63x the serial iteration time), and from
+# 32,768 on an iteration took 0.62-0.84x (see CHANGES.md).
+PREFETCH_MIN_NORMALS = 32_768
 
 
 @dataclass(frozen=True)
@@ -376,10 +397,28 @@ def _iteration_rng(seed: int, step: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step, iteration)))
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _prefetches(variant: str, config: SolverConfig, action_dim: int) -> bool:
+    """Whether a solve draws each next iteration's candidates on a worker thread."""
+    return (
+        variant in ("reject", "accel")
+        and config.n_oversample * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
+        and _usable_cpus() >= 2
+    )
+
+
 def _initial_state(
     config: SolverConfig,
     action_dim: int,
     prev: SolverState | None,
+    variant: str,
 ) -> SolverState:
     prior = standard_prior(action_dim, config.horizon)
     if prev is None:  # warm_start at eta = 0 from the prior: the prior itself, a1 = A1 = alpha
@@ -393,7 +432,13 @@ def _initial_state(
             raise ValueError(f"prev.{side} has shape {got[1:]}, expected {want[1:]} (prev.{name}: {got}, not {want})")
     _check_values(prev.mu, prev.sigma, "prev.")
     _check_values(prev.tilde_mu, prev.tilde_sigma, "prev.tilde_")
+    if not (math.isfinite(prev.a_i) and prev.a_i >= 0.0):
+        raise ValueError(f"prev.a_i must be finite and >= 0, got {prev.a_i}")
     (mu, sigma), a1, A1 = warm_start((prev.mu, prev.sigma), prior, prev.a_i, config.eta, config.alpha)
+    if not math.isfinite(A1):
+        raise ValueError(f"prev.a_i = {prev.a_i} is too large: the warm-started A_1 overflows")
+    if variant == "accel" and a1 == 0.0:  # only accel steps by a_i; a hand-built state has a_i = 0
+        raise ValueError("prev.a_i = 0 at eta = 1 gives accel a first step size of 0; need prev.a_i > 0 or eta < 1")
     return SolverState(mu, sigma, mu, sigma, a_i=a1, A_i=A1)
 
 
@@ -446,8 +491,14 @@ def solve(
     x_t = np.asarray(x_t, dtype=float)
     if x_t.shape != (env.state_dim,) or not np.isfinite(x_t).all():
         raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")
-    state = _initial_state(config, env.action_dim, prev)
+    state = _initial_state(config, env.action_dim, prev, variant)
     two_sided = variant in ("reject", "accel")
+    prefetch = None
+    if _prefetches(variant, config, env.action_dim):
+        from .prefetch import Prefetch  # loaded only where used; see its module docstring
+
+        shape = (config.n_oversample, env.action_dim, config.horizon)
+        prefetch = Prefetch(lambda k: _iteration_rng(seed, step, k), shape)
     weigh = forward_weights if variant == "forward" else signed_log_weights
 
     start = time.monotonic()
@@ -457,32 +508,42 @@ def solve(
     moved_count = 0
     nonfinite_total = 0
 
-    for i in range(1, config.max_iterations + 1):
-        if iter_times:
-            mean_t = sum(iter_times) / len(iter_times)
-            if (time.monotonic() - start) + mean_t > config.deadline:
-                break
-        t0 = time.monotonic()
-        rng = _iteration_rng(seed, step, i)
-        if two_sided:
-            u_batch = compose_and_sample(
-                state.theta_plus, state.theta_minus,
-                config.n_oversample, config.n_candidates, config.kappa, rng,
-            )
-        else:
-            u_batch = sample_batch(state.theta_plus, config.n_candidates, rng)
-        J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
+    try:
+        for i in range(1, config.max_iterations + 1):
+            if iter_times:
+                mean_t = sum(iter_times) / len(iter_times)
+                if (time.monotonic() - start) + mean_t > config.deadline:
+                    break
+            t0 = time.monotonic()
+            if prefetch is None:
+                rng = _iteration_rng(seed, step, i)
+            else:  # draw i + 1 ahead only if the check above is expected to let it start
+                ahead = i < config.max_iterations and (
+                    config.deadline == math.inf or bool(iter_times) and (t0 - start) + 2.0 * mean_t <= config.deadline
+                )
+                rng = prefetch.draw(i, ahead)
+            if two_sided:
+                u_batch = compose_and_sample(
+                    state.theta_plus, state.theta_minus,
+                    config.n_oversample, config.n_candidates, config.kappa, rng,
+                )
+            else:
+                u_batch = sample_batch(state.theta_plus, config.n_candidates, rng)
+            J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
 
-        finite = np.isfinite(J)
-        if not finite.all():
-            nonfinite_total += int((~finite).sum())
-            ceiling = J[finite].max() if finite.any() else 0.0
-            J = np.where(finite, J, ceiling + NONFINITE_PENALTY)
-        cost_trace.append(float(J.min()))
+            finite = np.isfinite(J)
+            if not finite.all():
+                nonfinite_total += int((~finite).sum())
+                ceiling = J[finite].max() if finite.any() else 0.0
+                J = np.where(finite, J, ceiling + NONFINITE_PENALTY)
+            cost_trace.append(float(J.min()))
 
-        state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)
-        moved_count += moved
-        iter_times.append(time.monotonic() - t0)
+            state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)
+            moved_count += moved
+            iter_times.append(time.monotonic() - t0)
+    finally:
+        if prefetch is not None:
+            prefetch.close()
 
     u_first = squash(state.mu[0], env.action_low, env.action_high)[:, 0]
     result = ControlResult(

@@ -13,6 +13,10 @@ both policy sides at once over a (2, A, H) side axis; `forward_update` and
 per-side refit, mirror-descent and AGD+ steps they replaced, kept here as the
 reference, and a solve builds one validated `PolicyParams` per iteration for
 forward and reverse, two for reject and accel, plus the prior once.
+
+A solve that prefetches its draws hands `sample_batch` normals drawn into a
+buffer it owns, and `sample_batch` transforms that buffer in place, with the
+bits of the fresh-array path.
 """
 
 import tracemalloc
@@ -20,8 +24,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rkmpc.solvers as solvers
 from rkmpc.envs import make_env
 from rkmpc.policy import LOG_2PI, SIGMA_FLOOR, PolicyParams, log_density, sample_batch, squash
+from rkmpc.prefetch import Drawn
 from rkmpc.solvers import (
     SolverConfig,
     SolverState,
@@ -111,6 +117,14 @@ class TestBitIdenticalToReference:
         got = sample_batch(params, count, np.random.default_rng(1))
         assert same_bits(got, ref_sample_batch(params, count, np.random.default_rng(1)))
 
+    def test_sample_batch_on_predrawn_normals(self, shape):
+        params, _ = case(batch_of(shape))
+        count = batch_of(shape)[0]
+        normals = np.random.default_rng(1).standard_normal((count,) + params.mu.shape)
+        got = sample_batch(params, count, Drawn(normals, np.zeros(count)))
+        assert got is normals  # transformed in place
+        assert same_bits(got, ref_sample_batch(params, count, np.random.default_rng(1)))
+
     def test_squash(self, shape):
         _, u = case(shape)
         a = shape[-2]
@@ -168,6 +182,18 @@ class TestMemoryPeak:
         minus, _ = case((a, h), seed=5)
         peak = peak_bytes(compose_and_sample, plus, minus, n_tilde, 1024, 1.0, np.random.default_rng(0))
         assert peak <= 2.1 * n_tilde * a * h * 8
+
+    def test_prefetched_reject_iteration(self, monkeypatch):
+        # a two-iteration solve, the first run beside the worker's draw of the
+        # second: the solve's two draw buffers, then the oversampled batch's log
+        # density beside them; the serial path peaks at 2.3 units
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        env = make_env("overlap_trap")
+        n_tilde, a, h = 4096, env.action_dim, 50
+        config = SolverConfig(n_candidates=1024, n_oversample=n_tilde, horizon=h, max_iterations=2)
+        assert solvers._prefetches("reject", config, a)
+        solve(env, env.initial_state, config, "reject")  # lazy set-up
+        assert peak_bytes(solve, env, env.initial_state, config, "reject") <= 3.4 * n_tilde * a * h * 8
 
     def test_log_density(self):
         params, u = case((4096, 1, 50))

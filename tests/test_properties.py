@@ -1,11 +1,13 @@
 """Property tests of the paper's identities over extreme scales (hypothesis)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkmpc.policy import PolicyParams, mirror_inverse, mirror_map
+from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map
 from rkmpc.weights import WeightConfig, signed_log_weights
 
 MEANS = st.floats(-1e3, 1e3)
@@ -75,3 +77,33 @@ def test_nonfinite_mirror_point_rejected(bad, in_sigma, index, sigma_ref):
     (z_sigma if in_sigma else z_mu)[index] = bad
     with pytest.raises(ValueError, match="mirror point entries must be finite"):
         mirror_inverse(z_mu, z_sigma, ref.sigma)
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, SIGMA_FLOOR, math.nextafter(SIGMA_FLOOR, 0.0), 0.0]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+@settings(deadline=None)
+@given(
+    mu=st.lists(VALUES, min_size=1, max_size=6),
+    sigma=st.lists(VALUES, min_size=1, max_size=6),
+    stacked=st.booleans(),
+)
+@example(mu=[1e308, -1e308], sigma=[1e308, SIGMA_FLOOR], stacked=True)  # huge but finite passes
+@example(mu=[0.0], sigma=[math.nextafter(SIGMA_FLOOR, 0.0)], stacked=False)
+@example(mu=[0.0, math.nan], sigma=[1.0], stacked=False)
+@example(mu=[-math.inf], sigma=[1.0], stacked=True)
+@example(mu=[0.0], sigma=[math.inf], stacked=False)
+def test_value_rule_of_every_policy(mu, sigma, stacked):
+    # mu finite; sigma finite and >= SIGMA_FLOOR; checked element by element here
+    def array(values):
+        return np.reshape(values, (1, 1, -1) if stacked else (1, -1))
+
+    mu_ok = all(math.isfinite(v) for v in mu)
+    sigma_ok = all(math.isfinite(v) and v >= SIGMA_FLOOR for v in sigma)
+    if mu_ok and sigma_ok:
+        _check_values(array(mu), array(sigma), "prev.")
+    else:
+        name = "mu must be finite$" if not mu_ok else f"sigma must be finite and >= {SIGMA_FLOOR}$"
+        with pytest.raises(ValueError, match=rf"^prev\.{name}"):
+            _check_values(array(mu), array(sigma), "prev.")

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkmpc
+import rkmpc.solvers as solvers
 from rkmpc.envs import BLOCK_ROWS, EnvSpec, make_env, rollout_batch
 from rkmpc.policy import (
     SIGMA_FLOOR,
@@ -15,6 +22,7 @@ from rkmpc.policy import (
     mirror_map,
     standard_prior,
 )
+from rkmpc.prefetch import Drawn
 from rkmpc.solvers import (
     VARIANTS,
     SolverConfig,
@@ -88,6 +96,22 @@ def sleeping_env(seconds):
         return x
 
     return replace(make_env("quadratic_bowl"), name="sleeping", dynamics=dynamics)
+
+
+def check_deadline_contract(deadline):
+    """Every iteration sleeps 3 * 2 ms in the dynamics, so how many fit in the
+    deadline does not depend on the speed of the machine."""
+    sleep, horizon, max_iterations = 0.002, 3, 10**6
+    env = sleeping_env(sleep)
+    config = quick_config(horizon=horizon, deadline=deadline, max_iterations=max_iterations)
+    result, _ = solve(env, env.initial_state, config, variant="accel", seed=0)
+    assert min(result.iteration_times) >= horizon * sleep
+    if deadline < horizon * sleep:
+        assert result.iterations == 1
+    else:
+        assert 2 <= result.iterations < max_iterations
+    # overshoot is at most one iteration, plus the loop's own bookkeeping
+    assert result.wall_time <= deadline + max(result.iteration_times) + 0.002
 
 
 class TestForwardUpdate:
@@ -703,19 +727,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("deadline", [0.0, 0.005, 0.05])
     def test_deadline_contract_with_sleeping_rollouts(self, deadline):
-        # every iteration sleeps 3 * 2 ms in the dynamics, so how many fit in
-        # the deadline does not depend on the speed of the machine
-        sleep, horizon, max_iterations = 0.002, 3, 10**6
-        env = sleeping_env(sleep)
-        config = quick_config(horizon=horizon, deadline=deadline, max_iterations=max_iterations)
-        result, _ = solve(env, env.initial_state, config, variant="accel", seed=0)
-        assert min(result.iteration_times) >= horizon * sleep
-        if deadline < horizon * sleep:
-            assert result.iterations == 1
-        else:
-            assert 2 <= result.iterations < max_iterations
-        # overshoot is at most one iteration, plus the loop's own bookkeeping
-        assert result.wall_time <= deadline + max(result.iteration_times) + 0.002
+        check_deadline_contract(deadline)
 
     @pytest.mark.parametrize("variant", ["forward", "reverse", "reject", "accel"])
     def test_diverged_candidates_rank_below_finite(self, variant):
@@ -804,6 +816,44 @@ class TestSolve:
         with pytest.raises(ValueError, match=rf"^prev\.{name} must be {rule}"):
             solve(env, env.initial_state, config, variant=variant, prev=replace(state, **{name: bad}), step=1)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("eta", [0.25, 1.0])
+    @pytest.mark.parametrize("a_i", [math.nan, math.inf, -math.inf, -1.0])
+    def test_nonfinite_or_negative_prev_a_i_rejected(self, variant, eta, a_i):
+        env = make_env("quadratic_bowl")
+        config = quick_config(n_candidates=8, max_iterations=2, eta=eta)
+        _, state = solve(env, env.initial_state, config, variant=variant)
+        with pytest.raises(ValueError, match=rf"^prev\.a_i must be finite and >= 0, got {a_i}$"):
+            solve(env, env.initial_state, config, variant=variant, prev=replace(state, a_i=a_i), step=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prev_a_i_whose_warm_accumulator_overflows_rejected(self, variant):
+        env = make_env("quadratic_bowl")
+        config = quick_config(n_candidates=8, max_iterations=2)
+        _, state = solve(env, env.initial_state, config, variant=variant)
+        with pytest.raises(ValueError, match=r"^prev\.a_i = 1e\+300 is too large: the warm-started A_1 overflows"):
+            solve(env, env.initial_state, config, variant=variant, prev=replace(state, a_i=1e300), step=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_prev_a_i(self, variant):
+        # A hand-built state keeps the default a_i = 0.  At eta = 1 the warm
+        # start copies it into a1, and accel's schedule cannot step from 0, so
+        # accel rejects it; the other variants never step by a_i and run.
+        env = make_env("quadratic_bowl")
+        config = quick_config(n_candidates=8, max_iterations=2, eta=1.0)
+        _, state = solve(env, env.initial_state, config, variant=variant)
+        hand_built = SolverState(state.mu, state.sigma, state.tilde_mu, state.tilde_sigma)
+        assert hand_built.a_i == 0.0
+        if variant == "accel":
+            with pytest.raises(ValueError, match=r"^prev\.a_i = 0 at eta = 1 gives accel a first step size of 0"):
+                solve(env, env.initial_state, config, variant=variant, prev=hand_built, step=1)
+        else:
+            result, out = solve(env, env.initial_state, config, variant=variant, prev=hand_built, step=1)
+            assert result.iterations == 2 and out.a_i == 0.0
+        # below eta = 1 the warm start blends in alpha, so every variant runs
+        result, out = solve(env, env.initial_state, replace(config, eta=0.5), variant=variant, prev=hand_built, step=1)
+        assert result.iterations == 2 and out.a_i > 0.0
+
     def test_side_accessors_return_frozen_copies(self):
         env = make_env("point_reacher")
         _, state = solve(env, env.initial_state, quick_config(max_iterations=3))
@@ -876,3 +926,196 @@ class TestSolve:
     def test_numpy_integer_sizes_accepted(self):
         sizes = dict(n_candidates=np.int64(8), n_oversample=np.int64(20), horizon=np.int64(3), max_iterations=np.int64(2))
         assert SolverConfig(**sizes).n_candidates == 8
+
+
+def engage_prefetch(monkeypatch):
+    """Prefetch the draws of every reject and accel solve, whatever their size
+    and however many CPUs the process may use."""
+    monkeypatch.setattr(solvers, "PREFETCH_MIN_NORMALS", 0)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def draws_made(monkeypatch):
+    """(thread name, iteration) of every iteration Generator made, in order."""
+    made = []
+    original = solvers._iteration_rng
+
+    def recording(seed, step, iteration):
+        made.append((threading.current_thread().name, iteration))
+        return original(seed, step, iteration)
+
+    monkeypatch.setattr(solvers, "_iteration_rng", recording)
+    return made
+
+
+def call_within(seconds, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on a helper thread joined with a timeout, so that a
+    lost hand-off fails the test instead of hanging it; fn's exception is raised
+    again here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # raised again below, on the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)  # a hung one must not hold up the exit
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"no result in {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def episode(env, config, variant, steps=4, seed=9):
+    """(result, state) of each step of a warm-started closed-loop episode."""
+    out, state, x = [], None, env.initial_state
+    for step in range(steps):
+        result, state = solve(env, x, config, variant=variant, prev=state, seed=seed, step=step)
+        out.append((result, state))
+        x = env.dynamics(x.reshape(1, -1), result.u.reshape(1, -1))[0]
+    return out
+
+
+def assert_same_episode(got, want):
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint8)
+
+    for (r, s), (r0, s0) in zip(got, want, strict=True):
+        assert np.array_equal(bits(r.u), bits(r0.u))
+        assert (r.iterations, r.best_cost, r.cost_trace, r.noise_strength_final, r.nonfinite_candidates) == (
+            r0.iterations, r0.best_cost, r0.cost_trace, r0.noise_strength_final, r0.nonfinite_candidates)
+        for name in ("mu", "sigma", "tilde_mu", "tilde_sigma"):
+            assert np.array_equal(bits(getattr(s, name)), bits(getattr(s0, name))), name
+        assert (s.a_i, s.A_i, s.sigma_max_running) == (s0.a_i, s0.A_i, s0.sigma_max_running)
+
+
+class TestPrefetch:
+    """Drawing the next iteration's normals and Gumbel keys on a worker thread."""
+
+    def test_import_starts_no_thread_and_loads_no_executor(self):
+        # a fresh interpreter: importing rkmpc leaves the prefetch module and
+        # concurrent.futures unloaded, and the main thread alone
+        code = (
+            "import sys, threading, rkmpc; "
+            "assert threading.active_count() == 1; "
+            "assert not {'concurrent.futures', 'rkmpc.prefetch'} & set(sys.modules), sys.modules.keys()"
+        )
+        src = Path(rkmpc.__file__).resolve().parent.parent
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+
+    def test_engages_only_for_large_two_sided_draws_on_two_cpus(self, monkeypatch):
+        trap = SolverConfig(n_candidates=1024, n_oversample=4096, horizon=50)
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        assert solvers._prefetches("reject", trap, 1) and solvers._prefetches("accel", trap, 1)
+        assert not solvers._prefetches("forward", trap, 2) and not solvers._prefetches("reverse", trap, 2)
+        assert not solvers._prefetches("accel", SolverConfig(n_candidates=32, n_oversample=128, horizon=12), 1)
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
+        assert not solvers._prefetches("reject", trap, 1)
+
+    def test_drawn_serves_only_the_shapes_it_was_drawn_at(self):
+        drawn = Drawn(np.zeros((8, 1, 4)), np.zeros(8))
+        assert drawn.standard_normal((8, 1, 4)) is drawn.normals and drawn.gumbel(size=8) is drawn.keys
+        with pytest.raises(ValueError, match=r"a draw of size \(8, 1, 5\) asked of one made at \(8, 1, 4\)"):
+            drawn.standard_normal((8, 1, 5))
+        with pytest.raises(ValueError, match=r"a draw of size \(4,\) asked of one made at \(8,\)"):
+            drawn.gumbel(size=4)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_identical_to_serial_over_a_warm_started_episode(self, variant, monkeypatch, draws_made):
+        env = make_env("point_reacher")
+        config = quick_config(horizon=6, max_iterations=5, alpha=0.3, eta=0.5)
+        serial = episode(env, config, variant)
+        assert {name for name, _ in draws_made} == {"MainThread"}
+        engage_prefetch(monkeypatch)
+        draws_made.clear()
+        assert_same_episode(episode(env, config, variant), serial)
+        on_worker = [k for name, k in draws_made if name == "rkmpc-prefetch"]
+        if variant in ("reject", "accel"):  # per step: iteration 1 on the calling thread, 2..5 on the worker
+            assert on_worker == [2, 3, 4, 5] * 4
+        else:
+            assert not on_worker
+
+    def test_concurrent_solves_keep_their_bits(self, monkeypatch):
+        # three episodes at once, each solve with its own worker: six threads
+        # on the machine's cores, switching every 10 us
+        env = make_env("point_reacher")
+        config = quick_config(horizon=6, max_iterations=5)
+        want = episode(env, config, "accel")
+        engage_prefetch(monkeypatch)
+        got = [None] * 3
+
+        def run(k):
+            got[k] = episode(env, config, "accel")
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(3):
+            assert_same_episode(got[k], want)
+
+    @pytest.mark.parametrize("variant", ["reject", "accel"])
+    def test_no_thread_outlives_solve(self, variant, monkeypatch, draws_made):
+        engage_prefetch(monkeypatch)
+        env = make_env("quadratic_bowl")
+        config = quick_config(horizon=4, max_iterations=6)
+        before = threading.enumerate()
+        call_within(30, solve, env, env.initial_state, config, variant=variant)
+        assert threading.enumerate() == before
+        assert ("rkmpc-prefetch", 6) in draws_made
+
+        calls = []
+
+        def dynamics(x, u):  # fails in the first step of iteration 3's rollout
+            calls.append(None)
+            if len(calls) > 2 * config.horizon:
+                raise RuntimeError("rollout failed")
+            return x
+
+        draws_made.clear()
+        with pytest.raises(RuntimeError, match="rollout failed"):
+            call_within(30, solve, replace(env, dynamics=dynamics), env.initial_state, config, variant=variant)
+        assert threading.enumerate() == before
+        assert draws_made[-1] == ("rkmpc-prefetch", 4)  # requested before iteration 3 rolled out
+
+    @pytest.mark.parametrize("variant", ["reject", "accel"])
+    def test_exception_in_a_draw_reaches_the_caller(self, variant, monkeypatch):
+        engage_prefetch(monkeypatch)
+        error = MemoryError("draw failed")
+        original = solvers._iteration_rng
+
+        def failing(seed, step, iteration):
+            if iteration == 3 and threading.current_thread().name == "rkmpc-prefetch":
+                raise error
+            return original(seed, step, iteration)
+
+        monkeypatch.setattr(solvers, "_iteration_rng", failing)
+        env = make_env("quadratic_bowl")
+        before = threading.enumerate()
+        with pytest.raises(MemoryError) as caught:
+            call_within(30, solve, env, env.initial_state, quick_config(max_iterations=5), variant=variant)
+        assert caught.value is error
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("deadline", [0.0, 0.005, 0.05])
+    def test_deadline_contract_with_sleeping_rollouts(self, deadline, monkeypatch, draws_made):
+        engage_prefetch(monkeypatch)
+        check_deadline_contract(deadline)
+        on_worker = [k for name, k in draws_made if name == "rkmpc-prefetch"]
+        # the first iteration gives the deadline check its first estimate, so
+        # iteration 2 is never drawn ahead under a finite deadline
+        if deadline < 0.05:
+            assert on_worker == []
+        else:
+            assert on_worker[0] == 3
