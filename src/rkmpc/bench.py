@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
 
 from .envs import EnvSpec, make_env, rollout_batch
-from .solvers import VARIANTS, SolverConfig, SolverState, solve
+from .solvers import VARIANTS, SolverConfig, SolverState, _check_integers, solve
 from .policy import squash
 
 SWEEPABLE = ("kappa", "gamma", "beta", "alpha")
@@ -46,6 +46,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown solver variant {self.variant!r}, expected one of {VARIANTS}")
+        seeds = {f"seeds[{k}]": seed for k, seed in enumerate(self.seeds)}
+        _check_integers({"episode_steps": self.episode_steps, **seeds})
         if self.episode_steps < 1:
             raise ValueError("episode_steps must be >= 1")
         if not self.seeds:

@@ -12,6 +12,7 @@ compiling it costs about 1.5 ms of every cold start that does not need it.
 
 from __future__ import annotations
 
+import queue
 import threading
 from collections.abc import Callable
 
@@ -48,17 +49,20 @@ class Prefetch:
 
     `rng_of(k)` is iteration k's Generator.  Its normals fill buffer k % 2 of
     shape (n_oversample, A, H), and then its Gumbel keys are drawn, the order
-    the serial path draws in, so the bits are the same.  The worker never
-    writes the buffer the calling thread is sampling from.  At most one draw
-    is in flight, and `close` joins the worker after it.
+    the serial path draws in, so the bits are the same.  The calling thread
+    asks for a draw on one queue and takes it, or the exception raised in it,
+    from another, and it takes each draw before asking for the next: at most
+    one draw is in flight, and the worker never writes the buffer the calling
+    thread is sampling from.  `close` asks the worker to stop and joins it
+    after the draw in flight.
     """
 
     def __init__(self, rng_of: Callable[[int], np.random.Generator], shape: tuple[int, int, int]):
         self._rng_of = rng_of
         self._buffers = (np.empty(shape), np.empty(shape))
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._pending = 0  # the iteration the worker is drawing, 0 for none
-        self._result: Drawn | BaseException | None = None
+        self._asked: queue.SimpleQueue[int] = queue.SimpleQueue()  # iterations to draw; 0 stops the worker
+        self._drawn: queue.SimpleQueue[Drawn | BaseException] = queue.SimpleQueue()
+        self._ahead = 0  # the last iteration asked of the worker, 0 for none
         self._thread: threading.Thread | None = None
 
     def _fill(self, k: int) -> Drawn:
@@ -68,49 +72,30 @@ class Prefetch:
         return Drawn(normals, rng.gumbel(size=normals.shape[0]))
 
     def _work(self) -> None:
-        while True:
-            self._go.acquire()
-            if not self._pending:
-                return
+        for k in iter(self._asked.get, 0):
             try:
-                self._result = self._fill(self._pending)
+                self._drawn.put(self._fill(k))
             except BaseException as exc:  # raised again on the calling thread, by `draw`
-                self._result = exc
-            self._done.release()
-
-    def _submit(self, k: int) -> None:
-        if self._thread is None:
-            thread = threading.Thread(target=self._work, name="rkmpc-prefetch")
-            thread.start()
-            self._thread = thread
-        self._pending = k
-        self._go.release()
-
-    def _wait(self) -> Drawn | BaseException:
-        self._done.acquire()
-        result, self._result, self._pending = self._result, None, 0
-        return result
+                self._drawn.put(exc)
 
     def draw(self, i: int, then_next: bool) -> Drawn:
         """Iteration i's draws; with `then_next`, the worker starts on iteration
         i + 1's before this returns."""
-        if self._pending == i:
-            drawn = self._wait()
-            if isinstance(drawn, BaseException):
-                raise drawn
-            if then_next:
-                self._submit(i + 1)
-            return drawn
+        drawn = self._drawn.get() if self._ahead == i else None
+        if isinstance(drawn, BaseException):
+            raise drawn
         if then_next:
-            self._submit(i + 1)
-        return self._fill(i)  # beside the worker's draw of i + 1
+            if self._thread is None:
+                thread = threading.Thread(target=self._work, name="rkmpc-prefetch")
+                thread.start()  # kept only once started, so that `close` never joins an unstarted one
+                self._thread = thread
+            self._asked.put(i + 1)
+            self._ahead = i + 1
+        return drawn if drawn is not None else self._fill(i)  # beside the worker's draw of i + 1
 
     def close(self) -> None:
         """Stop and join the worker, after the draw in flight, if any."""
-        if self._thread is None:
-            return
-        if self._pending:
-            self._wait()
-        self._go.release()  # with nothing pending: stop
-        self._thread.join()
-        self._thread = None
+        if self._thread is not None:
+            self._asked.put(0)
+            self._thread.join()
+            self._thread = None

@@ -21,7 +21,8 @@ Because the streams do not depend on earlier iterations, a reject or accel
 solve that draws at least PREFETCH_MIN_NORMALS oversampled normals per
 iteration (n_oversample * A * H), in a process that may run on two or more
 CPUs, draws iteration i + 1's standard normals and Gumbel keys on one worker
-thread while the calling thread runs iteration i (`rkmpc.prefetch`).  The
+thread while the calling thread runs iteration i (`rkmpc.prefetch`); the solve
+asks for each draw on one queue and takes it back from another.  The
 worker only fills one of two buffers the solve owns, from iteration i + 1's
 own Generator in the serial order, so results are bit-identical with or
 without the prefetch.  Sampling, rollouts, env callables, weights and
@@ -68,6 +69,13 @@ Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sid
 PREFETCH_MIN_NORMALS = 32_768
 
 
+def _check_integers(values: dict[str, object]) -> None:
+    """Reject any value that is not an integer (numpy's integers are), by name."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n_candidates: int = 32
@@ -84,9 +92,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_oversample is None:
             object.__setattr__(self, "n_oversample", 4 * self.n_candidates)
-        for name in ("n_candidates", "n_oversample", "horizon", "max_iterations"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        sizes = ("n_candidates", "n_oversample", "horizon", "max_iterations")
+        _check_integers({name: getattr(self, name) for name in sizes})
         if self.n_candidates < 2:
             raise ValueError(f"need n_candidates >= 2, got {self.n_candidates}")
         if self.n_oversample < self.n_candidates:
@@ -410,7 +417,7 @@ def _prefetches(variant: str, config: SolverConfig, action_dim: int) -> bool:
     return (
         variant in ("reject", "accel")
         and config.n_oversample * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
-        and _usable_cpus() >= 2
+        and _usable_cpus() >= 2  # pinned to one CPU, prefetched episodes measured no faster (README)
     )
 
 
@@ -486,6 +493,7 @@ def solve(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
+    _check_integers({"seed": seed, "step": step})
     if seed < 0 or step < 0:
         raise ValueError(f"seed and step must be >= 0, got seed={seed}, step={step}")
     x_t = np.asarray(x_t, dtype=float)

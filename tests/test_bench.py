@@ -2,6 +2,7 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rkmpc.bench import (
@@ -44,6 +45,24 @@ class TestExperimentConfig:
     def test_empty_seeds(self):
         with pytest.raises(ValueError):
             tiny_config(seeds=())
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"episode_steps": 0}, "episode_steps must be >= 1"),
+            ({"episode_steps": 2.5}, "episode_steps must be an integer, got 2.5"),
+            ({"seeds": (0.5,)}, r"seeds\[0\] must be an integer, got 0.5"),
+            ({"seeds": (0, "1")}, r"seeds\[1\] must be an integer, got '1'"),
+        ],
+        ids=["steps_zero", "steps_float", "seed_float", "seed_str"],
+    )
+    def test_bad_episode_steps_or_seeds_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**kwargs)
+
+    def test_numpy_integer_steps_and_seeds_accepted(self):
+        got = run_experiment(tiny_config(episode_steps=np.int64(2), seeds=(np.int64(1),)))
+        assert results_csv(got) == results_csv(run_experiment(tiny_config(episode_steps=2, seeds=(1,))))
 
     def test_unknown_env_surfaces_at_run(self):
         config = tiny_config(env="no_such_env")
@@ -332,6 +351,15 @@ class TestCli:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "method,seed_index,normalized_score"
         assert len(lines) == 1 + 2 * 2
+
+    def test_compare_warns_when_every_total_is_identical(self, tmp_path, capsys):
+        code = main([
+            "compare", "--env", "quadratic_bowl", "--horizon", "2",
+            "--candidates", "16", "--iterations", "2", "--steps", "2",
+            "--seed", "0,0", "--output", str(tmp_path), "--solvers", "accel",
+        ])
+        assert code == 0
+        assert "warning: all totals identical; scores flagged degenerate (0.5)" in capsys.readouterr().out
 
     def test_gnuplot_script_references_csv(self):
         script = gnuplot_script("data.csv", "task", "plot.svg")

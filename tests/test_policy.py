@@ -249,3 +249,19 @@ class TestMirrorMaps:
                     - kl_divergence(PolicyParams(theta.mu, sg_m), ref)
                 ) / (2 * h)
                 assert fd == pytest.approx(z_sigma[idx] - z0_sigma[idx], rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda a, b: kl_divergence(PolicyParams(a, a + 1.0), PolicyParams(b, b + 1.0)), "parameter shapes must match"),
+        (lambda a, b: mirror_map(b, a + 1.0, a + 1.0), "parameter shapes must match"),
+        (lambda a, b: mirror_map(a, b + 1.0, a + 1.0), "parameter shapes must match"),
+        (lambda a, b: mirror_inverse(b, a, a + 1.0), "mirror point shape does not match reference"),
+        (lambda a, b: mirror_inverse(a, b, a + 1.0), "mirror point shape does not match reference"),
+    ],
+    ids=["kl_divergence", "mirror_map_mu", "mirror_map_sigma", "mirror_inverse_mu", "mirror_inverse_sigma"],
+)
+def test_shape_mismatch_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.zeros((1, 3)), np.zeros((1, 4)))

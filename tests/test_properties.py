@@ -80,7 +80,10 @@ def test_nonfinite_mirror_point_rejected(bad, in_sigma, index, sigma_ref):
 
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, SIGMA_FLOOR, math.nextafter(SIGMA_FLOOR, 0.0), 0.0]
-VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+# MEANS and SCALES make ordinary policies common: st.floats() and the edges alone
+# made 1 to 10 valid policies in 100 examples, 0 to 5 of them with a scale in
+# (1e-3, 1e3), in five seeded runs
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), MEANS, SCALES, st.floats())
 
 
 @settings(deadline=None)

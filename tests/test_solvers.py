@@ -886,6 +886,24 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"seed and step must be >= 0, got .*{name}={value}"):
             solve(env, env.initial_state, quick_config(max_iterations=2), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"step": 2.5}, "step must be an integer, got 2.5"), ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+         ({"seed": "3"}, "seed must be an integer, got '3'")],
+        ids=["step_float", "seed_float", "seed_str"],
+    )
+    def test_non_integer_seed_or_step_rejected(self, kwargs, match):
+        env = make_env("quadratic_bowl")
+        with pytest.raises(ValueError, match=match):
+            solve(env, env.initial_state, quick_config(max_iterations=2), **kwargs)
+
+    def test_numpy_integer_seed_and_step_accepted(self):
+        env = make_env("quadratic_bowl")
+        config = quick_config(max_iterations=2)
+        got, _ = solve(env, env.initial_state, config, seed=np.int64(3), step=np.int64(1))
+        want, _ = solve(env, env.initial_state, config, seed=3, step=1)
+        assert np.array_equal(got.u, want.u) and got.cost_trace == want.cost_trace
+
     @pytest.mark.parametrize("deadline", [math.nan, -1.0])
     def test_nan_or_negative_deadline_rejected(self, deadline):
         with pytest.raises(ValueError, match="deadline must be >= 0"):
@@ -997,12 +1015,12 @@ class TestPrefetch:
     """Drawing the next iteration's normals and Gumbel keys on a worker thread."""
 
     def test_import_starts_no_thread_and_loads_no_executor(self):
-        # a fresh interpreter: importing rkmpc leaves the prefetch module and
-        # concurrent.futures unloaded, and the main thread alone
+        # a fresh interpreter: importing rkmpc leaves the prefetch module,
+        # concurrent.futures and queue unloaded, and the main thread alone
         code = (
             "import sys, threading, rkmpc; "
             "assert threading.active_count() == 1; "
-            "assert not {'concurrent.futures', 'rkmpc.prefetch'} & set(sys.modules), sys.modules.keys()"
+            "assert not {'concurrent.futures', 'queue', 'rkmpc.prefetch'} & set(sys.modules), sys.modules.keys()"
         )
         src = Path(rkmpc.__file__).resolve().parent.parent
         subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
@@ -1015,6 +1033,13 @@ class TestPrefetch:
         assert not solvers._prefetches("accel", SolverConfig(n_candidates=32, n_oversample=128, horizon=12), 1)
         monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
         assert not solvers._prefetches("reject", trap, 1)
+
+    def test_usable_cpus_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert solvers._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert solvers._usable_cpus() == 1
 
     def test_drawn_serves_only_the_shapes_it_was_drawn_at(self):
         drawn = Drawn(np.zeros((8, 1, 4)), np.zeros(8))
