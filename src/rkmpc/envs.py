@@ -1,7 +1,8 @@
 """Analytic desk-scale environments with deterministic batched rollouts.
 
 Each environment is an EnvSpec whose dynamics / cost callables operate on
-batches: states are (N, state_dim) arrays, actions (N, action_dim).  The
+batches: states are (N, state_dim) arrays, actions (N, action_dim), each
+column contiguous in memory (see rollout_batch).  The
 rollout model and the "true" environment are the same analytic functions;
 model mismatch is out of scope.
 """
@@ -41,6 +42,12 @@ class EnvSpec:
     next states; terminal_cost returns (N,).  stage_cost and constraint get
     the rows of several steps at once, so they must be row-wise: one value
     per row, from that row alone.  No callable may write to its inputs.
+    A rollout passes views whose every column is contiguous, not C-contiguous
+    arrays; an output made with np.empty_like(x) keeps that layout, and any
+    other is copied into it.  Elementwise column arithmetic gives the same
+    bits in either layout, but a row reduction over 8 or more columns, such
+    as x.sum(axis=1), may differ in the last bit from the same call on a
+    C-ordered array (numpy sums 8 or more contiguous values pairwise).
     action_low and action_high are finite (action_dim,) arrays with low < high
     in every dimension, initial_state has shape (state_dim,), and
     constraint_penalty is finite and >= 0; a bad field raises ValueError at
@@ -88,33 +95,48 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
 
     J = terminal(x_{t+H+1}) + sum_tau [ stage(x, u) + penalty * max(0, c(x, u)) ].
     dynamics runs once per step; stage_cost and constraint run once per block
-    of steps over all of its rows, and J is summed step by step.  Each
-    callable's output shape is checked, and a wrong one raises ValueError.
-    A diverged candidate (non-finite cost or state) is marked J = +inf; what
-    it costs is decided by the solver, so J never depends on the batch.
+    of steps over all of its rows, and J is summed step by step.  States are
+    kept as (state_dim, steps + 1, N) and actions as (A, H, N), so the
+    (rows, dim) arrays the callables get are views whose every column is
+    contiguous: a column slice such as x[:, :2] runs one inner loop over all
+    rows instead of one of length 2 per row.  Outputs made with
+    np.empty_like(x) keep that layout; see EnvSpec for the one case (row sums
+    over 8 or more columns) whose bits follow the layout.  A u_squashed other
+    than (N, env.action_dim, H) or an x_t other than (env.state_dim,) raises
+    ValueError, and so does a callable's output of the wrong shape.  A
+    diverged candidate (non-finite cost or state) is marked J = +inf; what it
+    costs is decided by the solver, so J never depends on the batch.
     """
+    if u_squashed.ndim != 3 or u_squashed.shape[1] != env.action_dim:
+        raise ValueError(f"u_squashed must have shape (N, {env.action_dim}, H), got {u_squashed.shape}")
+    if np.shape(x_t) != (env.state_dim,):
+        raise ValueError(f"x_t must have shape {(env.state_dim,)}, got {np.shape(x_t)}")
     n, a, horizon = u_squashed.shape
     block = max(1, BLOCK_ROWS // max(n, 1))
-    u_steps = np.ascontiguousarray(u_squashed.transpose(2, 0, 1))  # (H, N, A)
-    xs = np.empty((min(block, horizon) + 1, n, env.state_dim))  # one block of states
-    xs[0] = x_t
+    # (H, N, A) and (steps, N, state_dim) views of (A, H, N) and (state_dim, steps, N)
+    u_at = np.ascontiguousarray(u_squashed.transpose(1, 2, 0)).transpose(1, 2, 0)
+    x_at = np.empty((env.state_dim, min(block, horizon) + 1, n)).transpose(1, 2, 0)  # one block of states
+    x_at[0] = x_t
     J = np.zeros(n)
+    steps = 0
     for start in range(0, horizon, block):
+        if steps:  # the next block starts from the last block's final state
+            x_at[0] = x_at[steps]
         steps = min(block, horizon - start)
         for k in range(steps):
-            xs[k + 1] = _checked("dynamics", env.dynamics(xs[k], u_steps[start + k]), (n, env.state_dim))
+            x_at[k + 1] = _checked("dynamics", env.dynamics(x_at[k], u_at[start + k]), (n, env.state_dim))
         rows = steps * n
-        x_rows = xs[:steps].reshape(rows, env.state_dim)
-        u_rows = u_steps[start : start + steps].reshape(rows, a)
+        x_rows = x_at[:steps].reshape(rows, env.state_dim)
+        u_rows = u_at[start : start + steps].reshape(rows, a)
         stage = _checked("stage_cost", env.stage_cost(x_rows, u_rows), (rows,)).reshape(steps, n)
         violation = _checked("constraint", env.constraint(x_rows, u_rows), (rows,))
         penalty = (env.constraint_penalty * np.maximum(0.0, violation)).reshape(steps, n)
         for k in range(steps):
             J += stage[k]
             J += penalty[k]
-        xs[0] = xs[steps]
-    J += _checked("terminal_cost", env.terminal_cost(xs[0]), (n,))
-    J[~np.isfinite(J) | ~np.isfinite(xs[0]).all(axis=1)] = np.inf
+    x_end = x_at[steps]
+    J += _checked("terminal_cost", env.terminal_cost(x_end), (n,))
+    J[~np.isfinite(J) | ~np.isfinite(x_end).all(axis=1)] = np.inf
     return J
 
 
@@ -185,7 +207,7 @@ def point_reacher() -> EnvSpec:
     dt = DEFAULT_DT
 
     def dynamics(x, u):
-        out = np.empty(x.shape)
+        out = np.empty_like(x)  # keeps the rollout's column-contiguous layout
         out[:, :2] = x[:, :2] + dt * x[:, 2:]
         out[:, 2:] = x[:, 2:] + dt * u
         return out
@@ -230,7 +252,7 @@ def pendulum_swingup() -> EnvSpec:
 
     def dynamics(x, u):
         phi, omega = x[:, 0], x[:, 1]
-        out = np.empty(x.shape)
+        out = np.empty(x.shape)  # measured cheaper than np.empty_like(x) at N = 32
         out[:, 0] = phi + dt * omega
         out[:, 1] = omega + dt * (PENDULUM_GRAVITY * np.sin(phi) + u[:, 0])
         return out

@@ -10,6 +10,7 @@ from rkmpc.envs import (
     BIMODAL_MODES,
     BLOCK_ROWS,
     DEFAULT_DT,
+    DEFAULT_PENALTY,
     EnvSpec,
     PENDULUM_GRAVITY,
     REGISTRY,
@@ -125,6 +126,22 @@ class TestRolloutCost:
         with pytest.raises(ValueError, match=re.escape(f"env.{callable_name} returned shape {got}, expected")):
             rollout_batch(env, env.initial_state, np.zeros((5, env.action_dim, 4)))
 
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 5)], ids=["two_action_rows", "two_dims"])
+    def test_wrong_action_batch_shape_rejected(self, shape):
+        # a second action row on the 1-D pendulum used to be ignored silently
+        env = make_env("pendulum_swingup")
+        with pytest.raises(ValueError, match=re.escape(f"u_squashed must have shape (N, 1, H), got {shape}")):
+            rollout_batch(env, env.initial_state, np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "x_t, got", [(np.zeros(3), "(3,)"), (np.zeros((1, 2)), "(1, 2)"), (0.0, "()")], ids=["three", "row", "scalar"]
+    )
+    def test_wrong_state_shape_rejected(self, x_t, got):
+        # used to fail inside numpy's broadcast, or to pass with a (1, 2) state
+        env = make_env("pendulum_swingup")
+        with pytest.raises(ValueError, match=re.escape(f"x_t must have shape (2,), got {got}")):
+            rollout_batch(env, x_t, np.zeros((3, 1, 5)))
+
 
 def per_step_rollout(env, x_t, u):
     """Reference rollout: every env callable once per step, J summed per step."""
@@ -140,18 +157,68 @@ def per_step_rollout(env, x_t, u):
     return J
 
 
+def two_dim_env(name, dynamics, constraint=lambda x, u: np.full(x.shape[0], -1.0), penalty=DEFAULT_PENALTY):
+    """A test-local env with two state and two action dimensions."""
+    return EnvSpec(
+        name=name,
+        state_dim=2,
+        action_dim=2,
+        action_low=np.array([-1.0, -1.0]),
+        action_high=np.array([1.0, 1.0]),
+        dynamics=dynamics,
+        stage_cost=lambda x, u: x[:, 0] * x[:, 0] + 0.5 * x[:, 1] * x[:, 1] + 0.01 * u[:, 0] * u[:, 1],
+        terminal_cost=lambda x: 3.0 * x[:, 0] * x[:, 0] - x[:, 1],
+        constraint=constraint,
+        constraint_penalty=penalty,
+        initial_state=np.array([0.3, -0.2]),
+    )
+
+
+LOCAL_ENVS = {
+    env.name: env
+    for env in (
+        # a fresh C-ordered output, copied into the rollout's layout
+        two_dim_env("fresh_c_order", lambda x, u: np.column_stack([x[:, 0] + 0.1 * x[:, 1], x[:, 1] - 0.1 * u[:, 1]])),
+        # the input view itself, as the static landscapes return it
+        two_dim_env("input_view", lambda x, u: x),
+        # a constraint that binds for part of the candidates
+        two_dim_env("active_constraint", lambda x, u: x + 0.1 * u, lambda x, u: u[:, 0] + u[:, 1] - 0.5, 50.0),
+    )
+}
+
+
 class TestBlockedRollout:
     # (3, 5) is one block; at (300, 37) blocks of 13 steps end with 11; at
     # (1024, 50) blocks of 4 steps end with 2
     @pytest.mark.parametrize("n, horizon", [(3, 5), (300, 37), (1024, 50)])
-    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.parametrize("name", sorted(REGISTRY) + list(LOCAL_ENVS))
     def test_matches_per_step_loop_bit_for_bit(self, name, n, horizon):
-        env = make_env(name)
+        env = LOCAL_ENVS[name] if name in LOCAL_ENVS else make_env(name)
         rng = np.random.default_rng(n + horizon)
         low, high = env.action_low[:, None], env.action_high[:, None]
         u = rng.uniform(low, high, (n, env.action_dim, horizon))
         x0 = env.initial_state + rng.uniform(-0.5, 0.5, env.state_dim)
         assert np.array_equal(rollout_batch(env, x0, u), per_step_rollout(env, x0, u))
+
+    def test_row_sum_over_nine_columns_matches_to_rounding(self):
+        # numpy sums 8 or more contiguous values pairwise, so a row sum over
+        # column-contiguous rows may differ in the last bit from the C-ordered
+        # reference: the one case where the rollout's bits follow the layout
+        env = EnvSpec(
+            name="nine_states",
+            state_dim=9,
+            action_dim=1,
+            action_low=np.array([-1.0]),
+            action_high=np.array([1.0]),
+            dynamics=lambda x, u: x + 0.1 * np.arange(1.0, 10.0) * u,
+            stage_cost=lambda x, u: (x * x).sum(axis=1),
+            terminal_cost=lambda x: np.zeros(x.shape[0]),
+            constraint=lambda x, u: np.full(x.shape[0], -1.0),
+            initial_state=np.linspace(-0.4, 0.4, 9),
+        )
+        u = np.random.default_rng(9).uniform(-1, 1, (300, 1, 37))
+        J = rollout_batch(env, env.initial_state, u)
+        np.testing.assert_allclose(J, per_step_rollout(env, env.initial_state, u), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (300, 37, 3), (1024, 50, 13)])
     def test_call_counts(self, n, horizon, blocks):
@@ -172,6 +239,26 @@ class TestBlockedRollout:
         env = dataclasses.replace(base, **{name: counted(name) for name in names})
         rollout_batch(env, env.initial_state, np.zeros((n, 1, horizon)))
         assert calls == {"dynamics": horizon, "stage_cost": blocks, "constraint": blocks, "terminal_cost": 1}
+
+    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (1024, 50, 13)])
+    def test_every_column_the_callables_get_is_contiguous(self, n, horizon, blocks):
+        contiguous = []
+
+        def recorded(fn):
+            def call(*arrays):
+                contiguous.extend(a[:, j].flags.c_contiguous for a in arrays for j in range(a.shape[1]))
+                return fn(*arrays)
+
+            return call
+
+        base = LOCAL_ENVS["fresh_c_order"]
+        names = ("dynamics", "stage_cost", "terminal_cost", "constraint")
+        env = dataclasses.replace(base, **{name: recorded(getattr(base, name)) for name in names})
+        rollout_batch(env, env.initial_state, np.zeros((n, 2, horizon)))
+        # two columns each of x and u per dynamics step and per stage_cost
+        # and constraint block, and of x for terminal_cost
+        assert len(contiguous) == 4 * horizon + 8 * blocks + 2
+        assert all(contiguous)
 
 
 class TestBuiltinLandscapes:
