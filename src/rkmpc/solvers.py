@@ -19,16 +19,16 @@ iteration's batch a function of (seed, step, iteration) alone.
 
 Because the streams do not depend on earlier iterations, a reject or accel
 solve that draws at least PREFETCH_MIN_NORMALS oversampled normals per
-iteration (n_oversample * A * H), in a process that may run on two or more
-CPUs, draws iteration i + 1's standard normals and Gumbel keys on one worker
-thread while the calling thread runs iteration i (`rkmpc.prefetch`); the solve
-asks for each draw on one queue and takes it back from another.  The
-worker only fills one of two buffers the solve owns, from iteration i + 1's
-own Generator in the serial order, so results are bit-identical with or
-without the prefetch.  Sampling, rollouts, env callables, weights and
-updates all stay on the calling thread.  Under a finite deadline a draw is
-made ahead only for an iteration the deadline check is expected to let
-start.  The worker is joined before `solve` returns or raises, after any
+iteration (n_oversample * A * H) draws iteration i + 1's standard normals and
+Gumbel keys on one worker thread while the calling thread runs iteration i
+(`rkmpc.prefetch`), on any host: the rule reads only the solve's own
+arguments.  The solve asks for each draw on one queue and takes it back from
+another.  The worker only fills one of two buffers the solve owns, from
+iteration i + 1's own Generator in the serial order, so results are
+bit-identical with or without the prefetch.  Sampling, rollouts, env
+callables, weights and updates all stay on the calling thread.  Under a
+finite deadline a draw is made ahead only for an iteration the deadline check
+is expected to let start.  The worker is joined before `solve` returns or raises, after any
 draw in flight, and `wall_time` counts that wait; an exception raised in a
 draw reaches the caller of `solve` unchanged.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -58,7 +57,8 @@ from .policy import (
 from .weights import WeightConfig, forward_weights, partition_clusters, signed_log_weights
 
 VARIANTS = ("forward", "reverse", "reject", "accel")
-# Added to a batch's worst finite cost to price a diverged (J = +inf) candidate.
+# Added to a batch's worst finite cost to price a diverged (J = +inf) candidate;
+# where the sum rounds back to that cost (past about 1e22), the next float up is used.
 NONFINITE_PENALTY = 1e6
 Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sides stacked ahead
 # Reject and accel draw n_oversample * A * H normals per iteration; from this many
@@ -307,8 +307,13 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     if J.size < 2:
         raise ValueError("need at least two cost samples")
     dev = J - J.sum() / J.size  # what J.std() and J.mean() compute, without their wrappers
-    std = math.sqrt((dev * dev).sum() / J.size)
-    mad = float(np.abs(dev).sum() / J.size)
+    abs_sum = np.abs(dev).sum()
+    scale = 1.0
+    if abs_sum >= 1e154:  # the squares could overflow; scaling by a power of two keeps their bits
+        scale = 2.0 ** math.frexp(abs_sum)[1]
+        dev = dev / scale
+    std = math.sqrt((dev * dev).sum() / J.size) * scale
+    mad = float(abs_sum / J.size)
     new_max = max(sigma_max_running, mad)
     if std <= 0.0 or new_max <= 0.0:
         return 0.0, new_max
@@ -404,21 +409,13 @@ def _iteration_rng(seed: int, step: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step, iteration)))
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
 def _prefetches(variant: str, config: SolverConfig, action_dim: int) -> bool:
-    """Whether a solve draws each next iteration's candidates on a worker thread."""
-    return (
-        variant in ("reject", "accel")
-        and config.n_oversample * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
-        and _usable_cpus() >= 2  # pinned to one CPU, prefetched episodes measured no faster (README)
-    )
+    """Whether a solve draws each next iteration's candidates on a worker thread.
+
+    The host's CPUs play no part: pinned to one CPU, prefetched episodes
+    measured neither faster nor slower than serial ones (README).
+    """
+    return variant in ("reject", "accel") and config.n_oversample * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
 
 
 def _initial_state(
@@ -489,7 +486,7 @@ def solve(
     iteration time) to exceed the wall-clock deadline.  The first iteration
     always runs.  A diverged candidate (J = +inf) is counted in
     nonfinite_candidates and costs its batch's worst finite cost (0 if none)
-    plus NONFINITE_PENALTY.
+    plus NONFINITE_PENALTY, so it always ranks below every finite candidate.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
@@ -543,7 +540,7 @@ def solve(
             if not finite.all():
                 nonfinite_total += int((~finite).sum())
                 ceiling = J[finite].max() if finite.any() else 0.0
-                J = np.where(finite, J, ceiling + NONFINITE_PENALTY)
+                J = np.where(finite, J, max(ceiling + NONFINITE_PENALTY, np.nextafter(ceiling, np.inf)))
             cost_trace.append(float(J.min()))
 
             state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)

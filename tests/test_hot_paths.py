@@ -183,11 +183,10 @@ class TestMemoryPeak:
         peak = peak_bytes(compose_and_sample, plus, minus, n_tilde, 1024, 1.0, np.random.default_rng(0))
         assert peak <= 2.1 * n_tilde * a * h * 8
 
-    def test_prefetched_reject_iteration(self, monkeypatch):
+    def test_prefetched_reject_iteration(self):
         # a two-iteration solve, the first run beside the worker's draw of the
         # second: the solve's two draw buffers, then the oversampled batch's log
         # density beside them; the serial path peaks at 2.3 units
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
         env = make_env("overlap_trap")
         n_tilde, a, h = 4096, env.action_dim, 50
         config = SolverConfig(n_candidates=1024, n_oversample=n_tilde, horizon=h, max_iterations=2)

@@ -1,6 +1,7 @@
 """Property tests of the paper's identities over extreme scales (hypothesis)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map
+from rkmpc.solvers import noise_strength
 from rkmpc.weights import WeightConfig, signed_log_weights
 
 MEANS = st.floats(-1e3, 1e3)
@@ -62,6 +64,33 @@ def test_signed_weight_sum_at_extreme_cost_spreads(backend, beta, quantile, offs
     config = WeightConfig(backend=backend, quantile=quantile, beta=beta)
     n = J.size
     assert signed_log_weights(J, config).sum() == pytest.approx((1.0 - beta) * n, abs=1e-9 * n)
+
+
+# Offsets and spreads stay clear of subnormals, where scaling by a power of two loses bits.
+OFFSETS = st.one_of(st.just(0.0), st.floats(1e-50, 1e250), st.floats(-1e250, -1e-50))
+
+
+@settings(deadline=None)
+@given(
+    offset=OFFSETS,
+    log_spread=st.floats(-50.0, 250.0),
+    unit=st.lists(st.integers(-(2**20), 2**20), min_size=2, max_size=64),
+    log_running=st.floats(-50.0, 250.0),
+    exponent=st.integers(-64, 64),
+)
+# costs near 1e234, as a rollout of x' = 1e3 x + u over 40 steps gives: the squares overflow
+@example(offset=0.0, log_spread=234.0, unit=[0, 2**19, 2**20], log_running=0.0, exponent=0)
+# J sums its squares as they are and c * J rescales them: the two must still agree bit for bit
+@example(offset=0.0, log_spread=152.0, unit=[0, 2**18, 2**20], log_running=0.0, exponent=10)
+def test_noise_strength_at_extreme_cost_spreads(offset, log_spread, unit, log_running, exponent):
+    J = offset + 10.0**log_spread * np.array(unit) / 2**20
+    running, c = 10.0**log_running, 2.0**exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, new_max = noise_strength(J, running)
+        s_scaled, new_max_scaled = noise_strength(c * J, c * running)
+    assert 0.0 <= s <= 1.0
+    assert s_scaled == s and new_max_scaled == c * new_max
 
 
 @settings(deadline=None)

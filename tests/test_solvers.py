@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from dataclasses import replace
@@ -729,14 +730,19 @@ class TestSolve:
     def test_deadline_contract_with_sleeping_rollouts(self, deadline):
         check_deadline_contract(deadline)
 
-    @pytest.mark.parametrize("variant", ["forward", "reverse", "reject", "accel"])
-    def test_diverged_candidates_rank_below_finite(self, variant):
+    @pytest.mark.parametrize(
+        "variant, penalty",
+        [(v, 1e4) for v in VARIANTS] + [(v, 1e22) for v in VARIANTS],
+        ids=[*VARIANTS, *(f"{v}-penalty_1e22" for v in VARIANTS)],
+    )
+    def test_diverged_candidates_rank_below_finite(self, variant, penalty):
         # a diverged rollout must cost more than any finite one, even one
-        # that violates the constraint at every step
-        env = diverging_env()
+        # that violates the constraint at every step, also where the finite
+        # cost is so large that NONFINITE_PENALTY rounds away beside it
+        env = replace(diverging_env(), constraint_penalty=penalty)
         config = quick_config(horizon=4, max_iterations=20)
         result, _ = solve(env, env.initial_state, config, variant=variant, seed=0)
-        finite_cost = config.horizon * DIVERGING_VIOLATION * env.constraint_penalty
+        finite_cost = config.horizon * DIVERGING_VIOLATION * penalty
         assert result.nonfinite_candidates > 0
         assert result.best_cost == pytest.approx(finite_cost)
         assert result.u[0] < 0.0
@@ -947,10 +953,8 @@ class TestSolve:
 
 
 def engage_prefetch(monkeypatch):
-    """Prefetch the draws of every reject and accel solve, whatever their size
-    and however many CPUs the process may use."""
+    """Prefetch the draws of every reject and accel solve, whatever their size."""
     monkeypatch.setattr(solvers, "PREFETCH_MIN_NORMALS", 0)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
 
 
 @pytest.fixture
@@ -1014,6 +1018,8 @@ def assert_same_episode(got, want):
 class TestPrefetch:
     """Drawing the next iteration's normals and Gumbel keys on a worker thread."""
 
+    trap = SolverConfig(n_candidates=1024, n_oversample=4096, horizon=50)
+
     def test_import_starts_no_thread_and_loads_no_executor(self):
         # a fresh interpreter: importing rkmpc leaves the prefetch module,
         # concurrent.futures and queue unloaded, and the main thread alone
@@ -1025,21 +1031,43 @@ class TestPrefetch:
         src = Path(rkmpc.__file__).resolve().parent.parent
         subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
 
-    def test_engages_only_for_large_two_sided_draws_on_two_cpus(self, monkeypatch):
-        trap = SolverConfig(n_candidates=1024, n_oversample=4096, horizon=50)
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    def test_engages_only_for_large_two_sided_draws(self):
+        trap = self.trap
         assert solvers._prefetches("reject", trap, 1) and solvers._prefetches("accel", trap, 1)
         assert not solvers._prefetches("forward", trap, 2) and not solvers._prefetches("reverse", trap, 2)
         assert not solvers._prefetches("accel", SolverConfig(n_candidates=32, n_oversample=128, horizon=12), 1)
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
-        assert not solvers._prefetches("reject", trap, 1)
 
-    def test_usable_cpus_fall_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert solvers._usable_cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-        assert solvers._usable_cpus() == 1
+    def test_engages_whatever_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert solvers._prefetches("reject", self.trap, 1)
+
+    def test_prefetches_in_a_process_pinned_to_one_cpu(self):
+        # a fresh interpreter pinned to one CPU: a warm-started reject episode
+        # draws on the worker, keeps the serial bits and leaves no thread behind
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is not available on this platform")
+        code = textwrap.dedent(
+            """
+            import os, threading
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            assert len(os.sched_getaffinity(0)) == 1
+            from rkmpc import solvers
+            from rkmpc.envs import make_env
+            from test_solvers import assert_same_episode, episode, quick_config
+
+            env, config = make_env("point_reacher"), quick_config(horizon=6, max_iterations=5, alpha=0.3, eta=0.5)
+            serial = episode(env, config, "reject")
+            made, original = [], solvers._iteration_rng
+            solvers._iteration_rng = lambda *key: made.append(threading.current_thread().name) or original(*key)
+            solvers.PREFETCH_MIN_NORMALS = 0
+            before = threading.enumerate()
+            assert_same_episode(episode(env, config, "reject"), serial)
+            assert "rkmpc-prefetch" in made, made
+            assert threading.enumerate() == before, threading.enumerate()
+            """
+        )
+        path = os.pathsep.join([str(Path(rkmpc.__file__).resolve().parent.parent), str(Path(__file__).parent)])
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
 
     def test_drawn_serves_only_the_shapes_it_was_drawn_at(self):
         drawn = Drawn(np.zeros((8, 1, 4)), np.zeros(8))
