@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from statistics import mean, pstdev
 
 from .envs import EnvSpec, make_env, rollout_batch
 from .solvers import VARIANTS, SolverConfig, SolverState, _check_integers, solve
 from .policy import squash
+from .weights import WeightConfig
 
 SWEEPABLE = ("kappa", "gamma", "beta", "alpha")
 
@@ -156,11 +157,24 @@ def normalize_scores(totals: dict[str, list[float]]) -> tuple[dict[str, list[flo
     return {k: [(v - lo) / (hi - lo) for v in scores] for k, scores in totals.items()}, False
 
 
+def settings_of(config_class: type, values: dict) -> dict:
+    """The entries of `values` that name a field of the dataclass `config_class`.
+
+    A nested config (`ExperimentConfig.solver`, `SolverConfig.weights`) is
+    built from its own fields, so a key naming one raises a ValueError.
+    """
+    given = [f for f in fields(config_class) if f.name in values]
+    for f in given:
+        if is_dataclass(f.default_factory):
+            raise ValueError(f"{f.name!r} is a nested config, set through its own fields")
+    return {f.name: values[f.name] for f in given}
+
+
 def _with_param(config: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    if param == "beta":
-        weights = replace(config.solver.weights, beta=value)
-        return replace(config, solver=replace(config.solver, weights=weights))
-    return replace(config, solver=replace(config.solver, **{param: value}))
+    given = {param: value}
+    weights = replace(config.solver.weights, **settings_of(WeightConfig, given))
+    solver = replace(config.solver, weights=weights, **settings_of(SolverConfig, given))
+    return replace(config, solver=solver)
 
 
 def ablation_sweeps(

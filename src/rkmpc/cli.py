@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 
 from .bench import (
+    SWEEPABLE,
     ExperimentConfig,
     ablation_sweeps,
     compare_csv,
@@ -22,24 +23,40 @@ from .bench import (
     normalize_scores,
     results_csv,
     run_experiment,
+    settings_of,
     summary_csv,
     timing_csv,
 )
 from .solvers import VARIANTS, SolverConfig
-from .weights import WeightConfig
+from .weights import BACKENDS, WeightConfig
 
 
 class ConfigError(Exception):
     pass
 
 
+def _seconds(ms: str) -> float:
+    """--deadline-ms's type: milliseconds on the command line, seconds in the config."""
+    return float(ms) / 1000.0
+
+
+def _comma_list(item):
+    """A list flag's type: comma-separated entries, each converted by `item`."""
+    def parse(text: str) -> tuple:
+        return tuple(item(entry.strip()) for entry in text.split(","))
+    parse.__name__ = f"comma-separated {item.__name__}"  # argparse names it in errors
+    return parse
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """Each settings flag's dest is the config field it sets, and its type yields
+    that field's value, so `build_config` routes values by name alone."""
     p.add_argument("--config", help="INI config file; flags override file values")
     p.add_argument("--env", help="environment name")
-    p.add_argument("--solver", help=f"solver variant, one of {', '.join(VARIANTS)}")
+    p.add_argument("--solver", dest="variant", help=f"solver variant, one of {', '.join(VARIANTS)}")
     p.add_argument("--horizon", type=int)
-    p.add_argument("--candidates", type=int, help="candidates per iteration (N)")
-    p.add_argument("--oversample", type=int, help="oversample count for reject/accel")
+    p.add_argument("--candidates", dest="n_candidates", type=int, help="candidates per iteration (N)")
+    p.add_argument("--oversample", dest="n_oversample", type=int, help="oversample count for reject/accel")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
@@ -47,11 +64,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float)
     p.add_argument("--lambda", dest="quantile", type=float, help="CEM elite fraction")
     p.add_argument("--temperature", type=float)
-    p.add_argument("--backend", choices=["cem", "mppi"])
-    p.add_argument("--deadline-ms", type=float, help="per-step wall-clock budget (ms)")
-    p.add_argument("--iterations", type=int, help="max iterations per control step")
-    p.add_argument("--steps", type=int, help="episode length in control steps")
-    p.add_argument("--seed", type=str, help="comma-separated seed list")
+    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--deadline-ms", dest="deadline", type=_seconds, help="per-step wall-clock budget (ms)")
+    p.add_argument("--iterations", dest="max_iterations", type=int, help="max iterations per control step")
+    p.add_argument("--steps", dest="episode_steps", type=int, help="episode length in control steps")
+    p.add_argument("--seed", dest="seeds", type=_comma_list(int), help="comma-separated seed list")
     p.add_argument("--output", help="output directory")
     p.add_argument("--name", default="bench", help="output file stem")
 
@@ -86,36 +103,13 @@ def _file_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    return {
-        key: value
-        for key, value in vars(args).items()
-        if value is not None and key not in ("config", "command", "func")
-    }
-
-
-def _given(values: dict, **fields: str) -> dict:
-    """The given values keyed by dataclass field, from field=key pairs."""
-    return {name: values[key] for name, key in fields.items() if key in values}
-
-
 def build_config(values: dict) -> ExperimentConfig:
-    """Only the keys given are passed on, so the dataclasses own the defaults."""
+    """Values are keyed by the config field they set; only the keys given are
+    passed on, so the dataclasses own the defaults (n_oversample = 4 * N too)."""
     try:
-        weights = _given(
-            values, backend="backend", quantile="quantile", temperature="temperature", beta="beta",
-        )
-        solver = _given(
-            values, n_candidates="candidates", n_oversample="oversample", horizon="horizon",
-            alpha="alpha", gamma="gamma", eta="eta", kappa="kappa", max_iterations="iterations",
-        )
-        if "deadline_ms" in values:
-            solver["deadline"] = values["deadline_ms"] / 1000.0
-        experiment = _given(values, env="env", variant="solver", episode_steps="steps", seeds="seed")
-        if isinstance(experiment.get("seeds"), str):
-            experiment["seeds"] = tuple(int(s) for s in experiment["seeds"].split(","))
-        solver_config = SolverConfig(weights=WeightConfig(**weights), **solver)
-        return ExperimentConfig(solver=solver_config, **experiment)
+        weights = WeightConfig(**settings_of(WeightConfig, values))
+        solver = SolverConfig(weights=weights, **settings_of(SolverConfig, values))
+        return ExperimentConfig(solver=solver, **settings_of(ExperimentConfig, values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -145,8 +139,7 @@ def cmd_run(args: argparse.Namespace, config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    sweep_values = [float(v) for v in args.values.split(",")] if args.values else []
-    rows = ablation_sweeps(config, args.param, sweep_values)
+    rows = ablation_sweeps(config, args.param, args.values)
     path = os.path.join(_outdir(args), f"{args.name}_{config.env}_{config.variant}_{args.param}_sweep.csv")
     _write(path, summary_csv(rows, args.param))
     for value, m, s in rows:
@@ -156,12 +149,9 @@ def cmd_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, base: ExperimentConfig) -> int:
-    solvers = (args.solvers or "forward,reverse,reject,accel").split(",")
     totals: dict[str, list[float]] = {}
-    for variant in solvers:
-        config = replace(base, variant=variant.strip())
-        records = run_experiment(config)
-        totals[variant.strip()] = [r.total_reward for r in records]
+    for variant in args.solvers:
+        totals[variant] = [r.total_reward for r in run_experiment(replace(base, variant=variant))]
     normalized, degenerate = normalize_scores(totals)
     outdir = _outdir(args)
     csv_path = os.path.join(outdir, f"{args.name}_{base.env}_compare.csv")
@@ -177,7 +167,8 @@ def cmd_compare(args: argparse.Namespace, base: ExperimentConfig) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `bench` parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(prog="bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -187,24 +178,29 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="ablation sweep over one parameter")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, help="kappa | gamma | beta | alpha")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_sweep.add_argument("--values", required=True, type=_comma_list(float), help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare solver variants on one task")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--solvers", help="comma-separated solver variants")
+    p_cmp.add_argument("--solvers", type=_comma_list(str), default=VARIANTS, help="comma-separated solver variants")
     p_cmp.set_defaults(func=cmd_compare)
+    return parser, sub.choices
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
             # file values become the subcommand's defaults, so each is
             # converted by its flag's own type and a given flag overrides it
-            command = sub.choices[args.command]
+            command = commands[args.command]
             command.set_defaults(**_file_defaults(command, args.config))
             args = parser.parse_args(argv)
-        return args.func(args, build_config(_merged(args)))
+        given = {key: value for key, value in vars(args).items() if value is not None}
+        return args.func(args, build_config(given))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

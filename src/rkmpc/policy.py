@@ -76,11 +76,13 @@ def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> 
 
 
 def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Map pre-squash actions into the open interval (low, high) per action dim.
+    """Map pre-squash actions into the closed interval [low, high] per action dim.
 
     tanh-based affine map: odd-symmetric about the bound midpoint, so the
     (0, I) prior is centered on the middle of the action range.  Bounds are
     per-action-dim arrays of shape (A,), broadcast over the horizon axis.
+    Once tanh saturates (|u| > about 19), mid + half * tanh(u) can round one
+    ulp past a bound, so the result is clamped; values strictly inside keep their bits.
     """
     u_raw = np.asarray(u_raw, dtype=float)
     if not np.isfinite(u_raw).all():
@@ -94,6 +96,8 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     out = np.tanh(u_raw)
     out *= half
     out += mid
+    np.maximum(out, low, out=out)
+    np.minimum(out, high, out=out)
     return out
 
 

@@ -70,9 +70,9 @@ PREFETCH_MIN_NORMALS = 32_768
 
 
 def _check_integers(values: dict[str, object]) -> None:
-    """Reject any value that is not an integer (numpy's integers are), by name."""
+    """Reject any value that is not an integer (numpy's integers are; bool is not), by name."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -102,6 +102,8 @@ class SolverConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (self.gamma >= 0.0 and self.kappa >= 0.0):
             raise ValueError("gamma and kappa must be >= 0")
+        if not math.isfinite(self.kappa):  # else every selection score is -inf and the top-N ties
+            raise ValueError(f"kappa must be finite, got kappa={self.kappa}")
         if not math.isfinite(5.0 * self.gamma):  # else the step's 5 * gamma * s is NaN at s = 0
             raise ValueError(f"5 * gamma must be finite, got gamma={self.gamma}")
         if not 0.0 <= self.eta <= 1.0:

@@ -1,12 +1,14 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from rkmpc.bench import (
+    SWEEPABLE,
     ExperimentConfig,
+    _with_param,
     ablation_sweeps,
     compare_csv,
     gnuplot_script,
@@ -17,9 +19,9 @@ from rkmpc.bench import (
     summary_csv,
     timing_csv,
 )
-from rkmpc.cli import ConfigError, build_config, main
-from rkmpc.solvers import SolverConfig
-from rkmpc.weights import WeightConfig
+from rkmpc.cli import ConfigError, _parsers, build_config, main
+from rkmpc.solvers import VARIANTS, SolverConfig
+from rkmpc.weights import BACKENDS, WeightConfig
 
 
 def tiny_config(**kwargs):
@@ -57,6 +59,16 @@ class TestExperimentConfig:
         ids=["steps_zero", "steps_float", "seed_float", "seed_str"],
     )
     def test_bad_episode_steps_or_seeds_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"episode_steps": True}, "episode_steps must be an integer, got True"),
+         ({"seeds": (True,)}, r"seeds\[0\] must be an integer, got True")],
+        ids=["steps", "seeds"],
+    )
+    def test_bool_episode_steps_or_seeds_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             tiny_config(**kwargs)
 
@@ -163,6 +175,21 @@ class TestAblationSweeps:
         rows = ablation_sweeps(tiny_config(episode_steps=2), "beta", [0.0, 1.0])
         assert rows[0][0] == 0.0 and rows[1][0] == 1.0
 
+    @pytest.mark.parametrize("param", SWEEPABLE)
+    def test_each_param_sets_only_its_own_field(self, param):
+        base = tiny_config()
+        weights = replace(base.solver.weights, beta=0.25) if param == "beta" else base.solver.weights
+        solver = replace(base.solver, weights=weights, **({} if param == "beta" else {param: 0.25}))
+        assert _with_param(base, param, 0.25) == replace(base, solver=solver) != base
+
+
+def config_from_main(tmp_path, monkeypatch, *flags):
+    """The config that `bench run` builds from `flags` (one step, one iteration)."""
+    configs = []
+    monkeypatch.setattr("rkmpc.cli.run_experiment", lambda c: configs.append(c) or run_experiment(c))
+    assert main(["run", "--steps", "1", "--iterations", "1", "--output", str(tmp_path), *flags]) == 0
+    return configs[0]
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -176,35 +203,73 @@ class TestBuildConfig:
 
     def test_defaults_come_from_dataclasses(self):
         assert build_config({}) == ExperimentConfig()
-        config = build_config({"candidates": 10, "beta": 0.5})
+        config = build_config({"n_candidates": 10, "beta": 0.5})
         assert config.solver.n_oversample == 40
         assert config.solver.weights == WeightConfig(beta=0.5)
         assert config.solver.horizon == SolverConfig().horizon
 
     def test_oversample_defaults_to_four_n_in_library_and_cli(self):
         assert SolverConfig(n_candidates=200).n_oversample == 800
-        assert SolverConfig(n_candidates=64).n_oversample == build_config({"candidates": 64}).solver.n_oversample == 256
+        assert SolverConfig(n_candidates=64).n_oversample == build_config({"n_candidates": 64}).solver.n_oversample == 256
         assert SolverConfig(n_candidates=64, n_oversample=100).n_oversample == 100
-        assert build_config({"candidates": 64, "oversample": 100}).solver.n_oversample == 100
+        assert build_config({"n_candidates": 64, "n_oversample": 100}).solver.n_oversample == 100
         assert SolverConfig().n_oversample == 128
         # a resolved value is a value: replace() keeps it rather than re-deriving it
         assert replace(SolverConfig(n_candidates=16), n_candidates=32).n_oversample == 64
 
-    def test_deadline_ms_converted(self):
-        config = build_config({"deadline_ms": 20.0})
-        assert config.solver.deadline == pytest.approx(0.02)
+    # The flags convert their values, so these two go through `main`.
+    def test_deadline_ms_converted(self, tmp_path, monkeypatch):
+        assert config_from_main(tmp_path, monkeypatch, "--deadline-ms", "20").solver.deadline == pytest.approx(0.02)
 
-    def test_seed_list_parsed(self):
-        config = build_config({"seed": "3,5,8"})
-        assert config.seeds == (3, 5, 8)
+    def test_seed_list_parsed(self, tmp_path, monkeypatch):
+        assert config_from_main(tmp_path, monkeypatch, "--seed", "3, 5,8").seeds == (3, 5, 8)
+
+    def test_ini_values_convert_as_their_flags_do(self, tmp_path, monkeypatch):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[solver]\ndeadline-ms = 20\n[experiment]\nseed = 3,5\n")
+        config = config_from_main(tmp_path, monkeypatch, "--config", str(ini))
+        assert config.solver.deadline == pytest.approx(0.02) and config.seeds == (3, 5)
+
+    @pytest.mark.parametrize("key, value", [("solver", SolverConfig()), ("weights", WeightConfig())])
+    def test_nested_config_key_raises_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' is a nested config"):
+            build_config({key: value})
 
     def test_invalid_values_raise_config_error(self):
         with pytest.raises(ConfigError):
             build_config({"alpha": -1.0})
         with pytest.raises(ConfigError):
-            build_config({"solver": "simplex"})
+            build_config({"variant": "simplex"})
         with pytest.raises(ConfigError, match="deadline"):
-            build_config({"deadline_ms": math.nan})
+            build_config({"deadline": math.nan})
+
+
+CONFIGS = (ExperimentConfig, SolverConfig, WeightConfig)
+# flags of `run`, `sweep` and `compare` that set no config field
+NOT_SETTINGS = {"help", "config", "output", "name", "param", "values", "solvers"}
+
+
+class TestSettingsFlags:
+    def test_every_settings_flag_sets_a_field_of_exactly_one_config(self):
+        owned = [{f.name for f in fields(cls) if not is_dataclass(f.default_factory)} for cls in CONFIGS]
+        _, commands = _parsers()
+        assert set(commands) == {"run", "sweep", "compare"}
+        for name, command in commands.items():
+            for action in command._actions:
+                if action.dest not in NOT_SETTINGS:
+                    owners = sum(action.dest in names for names in owned)
+                    assert owners == 1, (name, action.option_strings, action.dest)
+
+    def test_no_field_name_is_declared_twice(self):
+        names = [f.name for cls in CONFIGS for f in fields(cls)]
+        assert len(names) == len(set(names))
+
+    def test_choices_and_defaults_come_from_the_named_tuples(self):
+        _, commands = _parsers()
+        flags = {opt: action for command in commands.values() for action in command._actions for opt in action.option_strings}
+        assert flags["--backend"].choices == BACKENDS
+        assert flags["--param"].choices == SWEEPABLE
+        assert flags["--solvers"].default == VARIANTS
 
 
 class TestCli:
@@ -292,6 +357,10 @@ class TestCli:
         code = main(self.run_args(tmp_path, extra=["--kappa", "nan"]))
         assert code == 2
         assert "gamma and kappa must be >= 0" in capsys.readouterr().err
+
+    def test_infinite_kappa_exits_two_naming_it(self, tmp_path, capsys):
+        assert main(self.run_args(tmp_path, extra=["--kappa", "inf"])) == 2
+        assert "kappa must be finite, got kappa=inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map
-from rkmpc.solvers import noise_strength
+from rkmpc.envs import make_env
+from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map, squash
+from rkmpc.solvers import VARIANTS, SolverConfig, SolverState, noise_strength, solve
 from rkmpc.weights import WeightConfig, signed_log_weights
 
 MEANS = st.floats(-1e3, 1e3)
@@ -139,3 +140,48 @@ def test_value_rule_of_every_policy(mu, sigma, stacked):
         name = "mu must be finite$" if not mu_ok else f"sigma must be finite and >= {SIGMA_FLOOR}$"
         with pytest.raises(ValueError, match=rf"^prev\.{name}"):
             _check_values(array(mu), array(sigma), "prev.")
+
+
+BOUNDS = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(lambda pair: pair[0] != pair[1])
+# tanh(u) rounds to +-1 from |u| of about 19 on: mid + half * tanh(u) then lands
+# on a bound or one ulp past it
+SATURATED = st.one_of(st.floats(19.0, 1e3), st.floats(-1e3, -19.0))
+
+
+@settings(deadline=None)
+@given(
+    bounds=st.lists(BOUNDS, min_size=1, max_size=3),
+    u=st.lists(st.one_of(SATURATED, st.floats(-40.0, 40.0)), min_size=1, max_size=8),
+)
+@example(bounds=[(-1.7, 2.3), (-2.3, 1.7)], u=[-40.0, 40.0])
+def test_squash_lands_in_the_closed_bounds(bounds, u):
+    low, high = (np.array([sorted(pair)[k] for pair in bounds]) for k in (0, 1))
+    u_raw = np.tile(u, (len(bounds), 1))
+    out = squash(u_raw, low, high)
+    low, high = low[:, None], high[:, None]
+    assert ((low <= out) & (out <= high)).all()
+    # only what the affine map put outside is moved: values strictly inside keep
+    # their bits, and one on a bound stays equal to it (a zero may take the bound's sign)
+    plain = 0.5 * (low + high) + 0.5 * (high - low) * np.tanh(u_raw)
+    inside = (low < plain) & (plain < high)
+    assert same_bits(out[inside], plain[inside])
+    assert np.array_equal(out, np.clip(plain, low, high))
+
+
+@settings(deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    mu=st.lists(MEANS, min_size=16, max_size=16),
+    sigma=st.lists(SCALES, min_size=16, max_size=16),
+)
+def test_solve_from_a_wide_prev_returns_a_finite_in_bounds_action(variant, mu, sigma):
+    # theta+- and the momentum points theta~+- of a point_reacher policy (A, H) = (2, 2)
+    mu, sigma = np.reshape(mu, (2, 2, 2, 2)), np.reshape(sigma, (2, 2, 2, 2))
+    config = SolverConfig(n_candidates=8, horizon=2, max_iterations=3)
+    prev = SolverState(mu[0], sigma[0], mu[1], sigma[1], a_i=config.alpha, A_i=config.alpha)
+    env = make_env("point_reacher")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result, _ = solve(env, env.initial_state, config, variant=variant, prev=prev)
+    assert np.isfinite(result.u).all()
+    assert ((env.action_low <= result.u) & (result.u <= env.action_high)).all()

@@ -951,6 +951,41 @@ class TestSolve:
         sizes = dict(n_candidates=np.int64(8), n_oversample=np.int64(20), horizon=np.int64(3), max_iterations=np.int64(2))
         assert SolverConfig(**sizes).n_candidates == 8
 
+    @pytest.mark.parametrize("name", ["n_candidates", "n_oversample", "horizon", "max_iterations"])
+    def test_bool_size_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            SolverConfig(**{name: True})
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"seed": True}, "seed must be an integer, got True"), ({"step": False}, "step must be an integer, got False"),
+         ({"seed": True, "step": False}, "seed must be an integer, got True")],
+        ids=["seed", "step", "both"],
+    )
+    def test_bool_seed_or_step_rejected(self, kwargs, match):
+        env = make_env("quadratic_bowl")
+        with pytest.raises(ValueError, match=match):
+            solve(env, env.initial_state, quick_config(max_iterations=2), **kwargs)
+
+    def test_infinite_kappa_rejected(self):
+        # every selection score would be -inf, and the Gumbel top-N would keep
+        # whichever tied indices the partition returns instead of a uniform pick
+        with pytest.raises(ValueError, match="kappa must be finite, got kappa=inf"):
+            SolverConfig(kappa=math.inf)
+
+    @pytest.mark.parametrize("low, high", [(-1.7, 2.3), (-2.3, 1.7), (-2.1, 1.9), (-1.9, 2.1)])
+    def test_actions_stay_in_bounds_once_the_mean_saturates(self, low, high):
+        # At eta = 0.75 accel drives the swing-up's mean past |u| = 19, where tanh
+        # rounds to +-1; without the squash's clamp, seed 0 returned actions one ulp
+        # outside the first two bound pairs from step 8 on (-1.7000000000000002).
+        env = replace(make_env("pendulum_swingup"), action_low=np.array([low]), action_high=np.array([high]))
+        config = SolverConfig(n_candidates=32, n_oversample=128, horizon=12, max_iterations=48, eta=0.75)
+        x, state = env.initial_state, None
+        for step in range(15):
+            result, state = solve(env, x, config, variant="accel", prev=state, seed=0, step=step)
+            assert low <= result.u[0] <= high, (step, result.u[0])
+            x = env.dynamics(x[None], result.u[None])[0]
+
 
 def engage_prefetch(monkeypatch):
     """Prefetch the draws of every reject and accel solve, whatever their size."""
