@@ -51,7 +51,8 @@ class EnvSpec:
     action_low and action_high are finite (action_dim,) arrays with low < high
     in every dimension, initial_state has shape (state_dim,), and
     constraint_penalty is finite and >= 0; a bad field raises ValueError at
-    construction, `dataclasses.replace` included.
+    construction, `dataclasses.replace` included.  The three array fields are
+    stored as float arrays, so they may be given as lists.
     """
 
     name: str
@@ -67,14 +68,16 @@ class EnvSpec:
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
+        for name in ("action_low", "action_high", "initial_state"):  # lists and int arrays too
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("action_low", "action_high"):
-            bound = np.asarray(getattr(self, name), dtype=float)
+            bound = getattr(self, name)
             if bound.shape != (self.action_dim,) or not np.isfinite(bound).all():
                 raise ValueError(f"{name} must be finite with shape {(self.action_dim,)}, got {bound.shape}")
-        if not (np.asarray(self.action_low) < np.asarray(self.action_high)).all():
+        if not (self.action_low < self.action_high).all():
             raise ValueError("action_low must be < action_high in every dimension")
-        if np.shape(self.initial_state) != (self.state_dim,):
-            raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {np.shape(self.initial_state)}")
+        if self.initial_state.shape != (self.state_dim,):
+            raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {self.initial_state.shape}")
         if not 0.0 <= self.constraint_penalty < np.inf:  # NaN makes every rollout diverged
             raise ValueError(f"constraint_penalty must be finite and >= 0, got {self.constraint_penalty}")
 

@@ -67,6 +67,9 @@ Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sid
 # saved up to 16,384 normals (0.92-1.63x the serial iteration time), and from
 # 32,768 on an iteration took 0.62-0.84x (see CHANGES.md).
 PREFETCH_MIN_NORMALS = 32_768
+# A warm-start prev whose theta+- holds a |mu| or sigma above this is rejected.  From
+# a prev at 1e70 the updates overflowed; at 1e50 and 1e60 none did (see README).
+PREV_CEILING = 1e50
 
 
 def _check_integers(values: dict[str, object]) -> None:
@@ -308,16 +311,23 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 2:
         raise ValueError("need at least two cost samples")
-    dev = J - J.sum() / J.size  # what J.std() and J.mean() compute, without their wrappers
-    abs_sum = np.abs(dev).sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # costs past about 1e308 / N overflow the sums
+        absdev = np.abs(J - J.sum() / J.size)  # what J.std() and J.mean() compute, without their wrappers
+        abs_sum = absdev.sum()
+    if not abs_sum < 2.0**1023:  # overflowed, or 2 ** frexp below would: the same estimate of J
+        # scaled by 2**-k < 1 / (2N), where no sum overflows
+        k = math.frexp(J.size)[1] + 1
+        s, new_max = noise_strength(J * 2.0**-k, sigma_max_running * 2.0**-k)
+        return s, new_max * 2.0**k
     scale = 1.0
     if abs_sum >= 1e154:  # the squares could overflow; scaling by a power of two keeps their bits
         scale = 2.0 ** math.frexp(abs_sum)[1]
-        dev = dev / scale
-    std = math.sqrt((dev * dev).sum() / J.size) * scale
+        absdev /= scale
+    absdev *= absdev  # |d| * |d| has the bits of d * d
+    std = math.sqrt(absdev.sum() / J.size) * scale
     mad = float(abs_sum / J.size)
     new_max = max(sigma_max_running, mad)
-    if std <= 0.0 or new_max <= 0.0:
+    if std <= 0.0:  # new_max <= 0 means every deviation is 0, and so std too
         return 0.0, new_max
     s = (1.0 - mad / std) * (std / new_max)
     return min(max(s, 0.0), 1.0), new_max
@@ -438,6 +448,10 @@ def _initial_state(
             raise ValueError(f"prev.{side} has shape {got[1:]}, expected {want[1:]} (prev.{name}: {got}, not {want})")
     _check_values(prev.mu, prev.sigma, "prev.")
     _check_values(prev.tilde_mu, prev.tilde_sigma, "prev.tilde_")
+    for name in ("mu", "sigma"):  # the values the warm start reads
+        peak = np.abs(getattr(prev, name)).max()
+        if peak > PREV_CEILING:
+            raise ValueError(f"prev.{name} must be within +-{PREV_CEILING:g}, got a value of magnitude {peak:g}")
     if not (math.isfinite(prev.a_i) and prev.a_i >= 0.0):
         raise ValueError(f"prev.a_i must be finite and >= 0, got {prev.a_i}")
     (mu, sigma), a1, A1 = warm_start((prev.mu, prev.sigma), prior, prev.a_i, config.eta, config.alpha)
@@ -452,15 +466,16 @@ def _update(
     variant: str,
     state: SolverState,
     u_batch: np.ndarray,
-    w: np.ndarray,
     J: np.ndarray,
     config: SolverConfig,
 ) -> tuple[SolverState, bool, float]:
-    """One variant's policy update from this batch's weights w.
+    """One variant's policy update from this batch's costs J, through its weight
+    map: forward_weights for forward, signed_log_weights for the other three.
 
     Returns (state, moved, s_i): moved says whether C+ is non-empty, and s_i
     is the noise strength (accel only, else 0).
     """
+    w = (forward_weights if variant == "forward" else signed_log_weights)(J, config.weights)
     if variant in ("forward", "reverse"):  # each returns `state` itself exactly when C+ is empty
         new = (forward_update if variant == "forward" else reverse_update)(state, u_batch, w, config.alpha)
         return new, new is not state, 0.0
@@ -484,11 +499,15 @@ def solve(
     and return the first squashed action.
 
     Iterates sample -> rollout -> weight -> update until max_iterations, or
-    until starting another iteration would be expected (from the running mean
-    iteration time) to exceed the wall-clock deadline.  The first iteration
-    always runs.  A diverged candidate (J = +inf) is counted in
-    nonfinite_candidates and costs its batch's worst finite cost (0 if none)
-    plus NONFINITE_PENALTY, so it always ranks below every finite candidate.
+    until the time elapsed plus the estimate mean_t of one iteration exceeds
+    the wall-clock deadline.  mean_t is the mean of the timed iterations and
+    infinite until one is timed: the first iteration always runs, and a
+    prefetched draw of iteration i + 1 is made only if the time elapsed plus
+    2 * mean_t fits (under a finite deadline, never for iteration 2).  A
+    diverged candidate (J = +inf) is counted in nonfinite_candidates and costs
+    its batch's worst finite cost (0 if none) plus NONFINITE_PENALTY, so it
+    always ranks below every finite candidate.  The state returned has theta+-
+    clipped to PREV_CEILING, so it is always accepted as the next prev.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
@@ -506,10 +525,10 @@ def solve(
 
         shape = (config.n_oversample, env.action_dim, config.horizon)
         prefetch = Prefetch(lambda k: _iteration_rng(seed, step, k), shape)
-    weigh = forward_weights if variant == "forward" else signed_log_weights
 
     start = time.monotonic()
     iter_times: list[float] = []
+    mean_t = math.inf  # mean of iter_times; infinite until an iteration is timed
     cost_trace: list[float] = []
     s_final = 0.0
     moved_count = 0
@@ -517,18 +536,13 @@ def solve(
 
     try:
         for i in range(1, config.max_iterations + 1):
-            if iter_times:
-                mean_t = sum(iter_times) / len(iter_times)
-                if (time.monotonic() - start) + mean_t > config.deadline:
-                    break
             t0 = time.monotonic()
+            if iter_times and (t0 - start) + mean_t > config.deadline:
+                break
             if prefetch is None:
                 rng = _iteration_rng(seed, step, i)
-            else:  # draw i + 1 ahead only if the check above is expected to let it start
-                ahead = i < config.max_iterations and (
-                    config.deadline == math.inf or bool(iter_times) and (t0 - start) + 2.0 * mean_t <= config.deadline
-                )
-                rng = prefetch.draw(i, ahead)
+            else:  # draw i + 1 ahead only if the stop test above is expected to let it start
+                rng = prefetch.draw(i, i < config.max_iterations and (t0 - start) + 2.0 * mean_t <= config.deadline)
             if two_sided:
                 u_batch = compose_and_sample(
                     state.theta_plus, state.theta_minus,
@@ -545,9 +559,10 @@ def solve(
                 J = np.where(finite, J, max(ceiling + NONFINITE_PENALTY, np.nextafter(ceiling, np.inf)))
             cost_trace.append(float(J.min()))
 
-            state, moved, s_final = _update(variant, state, u_batch, weigh(J, config.weights), J, config)
+            state, moved, s_final = _update(variant, state, u_batch, J, config)
             moved_count += moved
             iter_times.append(time.monotonic() - t0)
+            mean_t = sum(iter_times) / len(iter_times)
     finally:
         if prefetch is not None:
             prefetch.close()
@@ -564,4 +579,6 @@ def solve(
         no_positive_update=(moved_count == 0),
         nonfinite_candidates=nonfinite_total,
     )
-    return result, state
+    # an update may step past PREV_CEILING: clipped to it, every returned state is a valid prev
+    mu, sigma = np.clip(state.mu, -PREV_CEILING, PREV_CEILING), np.minimum(state.sigma, PREV_CEILING)
+    return result, replace(state, mu=mu, sigma=sigma)

@@ -58,8 +58,13 @@ def _backend_weights(J: np.ndarray, config: WeightConfig, total: float, quantile
         w[elite] = total / k
         return w
     # MPPI: subtract the min before exponentiating to avoid overflow; the
-    # normalization makes the shift immaterial.
-    e = np.exp(-(J - J.min()) / config.temperature)
+    # normalization makes the shift immaterial.  min - J is -(J - min) exactly.
+    # Below temperature 1 the quotient can overflow; exp is 0 from about -745
+    # down, so gaps past 746 temperatures are clamped there, keeping every bit.
+    gap = J.min() - J
+    if config.temperature < 1.0:
+        np.maximum(gap, -746.0 * config.temperature, out=gap)
+    e = np.exp(gap / config.temperature)
     return total * e / e.sum()
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rkmpc.bench import ExperimentConfig, run_episode
 from rkmpc.envs import (
     BIMODAL_DEPTHS,
     BIMODAL_MODES,
@@ -21,6 +22,7 @@ from rkmpc.envs import (
     rollout_batch,
     trap_corridor_cost,
 )
+from rkmpc.solvers import SolverConfig
 
 
 def zero_env():
@@ -338,6 +340,20 @@ class TestEnvSpecChecks:
 
     def test_zero_constraint_penalty_allowed(self):
         assert dataclasses.replace(make_env("point_reacher"), constraint_penalty=0.0).constraint_penalty == 0.0
+
+    def test_list_fields_stored_as_float_arrays(self):
+        # lists passed every check, then bench.run_episode failed on list.reshape
+        pendulum = make_env("pendulum_swingup")
+        env = dataclasses.replace(pendulum, initial_state=[3.14159, 0.0], action_low=[-2], action_high=[2.0])
+        for name in ("initial_state", "action_low", "action_high"):
+            assert isinstance(getattr(env, name), np.ndarray) and getattr(env, name).dtype == np.float64
+        arrays = dataclasses.replace(
+            pendulum, initial_state=np.array([3.14159, 0.0]), action_low=np.array([-2.0]), action_high=np.array([2.0])
+        )
+        config = ExperimentConfig(env="pendulum_swingup", solver=SolverConfig(n_candidates=8, horizon=4, max_iterations=2),
+                                  episode_steps=3)
+        rows, expected = (run_episode(e, config, seed=0).rows for e in (env, arrays))
+        assert [dataclasses.replace(r, wall_time=0.0) for r in rows] == [dataclasses.replace(r, wall_time=0.0) for r in expected]
 
 
 class TestRegistry:

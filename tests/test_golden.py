@@ -14,8 +14,14 @@ BULK runs the shapes of the bulk benchmark workloads at a few steps each:
 reject selecting N = 1024 of n_oversample = 4096 candidates, and forward
 refits of a 2-D action at N = 1024, both over H = 50 in 4-step rollout blocks.
 Reverse runs the forward case's shape, the only golden of reverse at A = 2.
+
+DIGESTS pins the results digest that `rtbench/run.py` prints for episode
+seed 0 of each fixed-iteration benchmark workload.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +30,8 @@ from rkmpc.cli import main
 from rkmpc.solvers import VARIANTS
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = {"trap_reject_bulk": "548a5360f1911dff", "reacher_forward_bulk": "a6fd966081078f58"}
 
 COMMON = ["--steps", "6", "--seed", "0,1", "--iterations", "6", "--horizon", "8", "--candidates", "32"]
 CASES = {
@@ -76,3 +84,12 @@ def test_north_star_results_csv_matches_golden(tmp_path, variant):
     assert main(argv) == 0
     name = f"golden_northstar_pendulum_swingup_{variant}_results.csv"
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_benchmark_results_digest_matches(workload):
+    argv = [sys.executable, "rtbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+    assert f"  results digest (episode seed 0) = {DIGESTS[workload]}\n" in done.stdout

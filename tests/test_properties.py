@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from rkmpc.envs import make_env
 from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map, squash
-from rkmpc.solvers import VARIANTS, SolverConfig, SolverState, noise_strength, solve
-from rkmpc.weights import WeightConfig, signed_log_weights
+from rkmpc.solvers import PREV_CEILING, VARIANTS, SolverConfig, SolverState, noise_strength, solve
+from rkmpc.weights import WeightConfig, forward_weights, signed_log_weights
 
 MEANS = st.floats(-1e3, 1e3)
 SCALES = st.floats(1e-6, 1e3)
@@ -67,25 +67,52 @@ def test_signed_weight_sum_at_extreme_cost_spreads(backend, beta, quantile, offs
     assert signed_log_weights(J, config).sum() == pytest.approx((1.0 - beta) * n, abs=1e-9 * n)
 
 
-# Offsets and spreads stay clear of subnormals, where scaling by a power of two loses bits.
-OFFSETS = st.one_of(st.just(0.0), st.floats(1e-50, 1e250), st.floats(-1e250, -1e-50))
+@settings(deadline=None)
+@given(
+    temperature=st.one_of(st.floats(5e-324, 1e308), st.floats(-323.3, 308.0).map(lambda e: 10.0**e)),
+    beta=st.floats(0.0, 1.0),
+    J=st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-8.5e307, 8.5e307)), min_size=2, max_size=64),
+)
+# below temperature 1 the quotient (J - min J) / temperature overflowed before exp took it to 0
+@example(temperature=1e-300, beta=1.0, J=[0.0, 1.0, 1e10])
+@example(temperature=5e-324, beta=0.5, J=[0.0, 1.0, 1e10])
+def test_mppi_weight_sums_at_any_temperature(temperature, beta, J):
+    config = WeightConfig(temperature=temperature, beta=beta)
+    n = len(J)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, lnH = forward_weights(J, config), signed_log_weights(J, config)
+    assert np.isfinite(w).all() and np.isfinite(lnH).all()
+    assert w.sum() == pytest.approx(n, rel=1e-12)
+    assert lnH.sum() == pytest.approx((1.0 - beta) * n, abs=1e-9 * n)
+
+
+# Offsets and spreads stay clear of subnormals, where scaling by a power of two loses
+# bits; |J| stays below 8.5e307 + 10**307.9, about 1.64e308.
+OFFSETS = st.one_of(st.just(0.0), st.floats(1e-50, 8.5e307), st.floats(-8.5e307, -1e-50))
 
 
 @settings(deadline=None)
 @given(
     offset=OFFSETS,
-    log_spread=st.floats(-50.0, 250.0),
+    log_spread=st.floats(-50.0, 307.9),
     unit=st.lists(st.integers(-(2**20), 2**20), min_size=2, max_size=64),
-    log_running=st.floats(-50.0, 250.0),
+    log_running=st.floats(-50.0, 307.9),
     exponent=st.integers(-64, 64),
 )
 # costs near 1e234, as a rollout of x' = 1e3 x + u over 40 steps gives: the squares overflow
 @example(offset=0.0, log_spread=234.0, unit=[0, 2**19, 2**20], log_running=0.0, exponent=0)
 # J sums its squares as they are and c * J rescales them: the two must still agree bit for bit
 @example(offset=0.0, log_spread=152.0, unit=[0, 2**18, 2**20], log_running=0.0, exponent=10)
+# costs near the float max: J.sum() overflowed and s came out NaN
+@example(offset=8.5e307, log_spread=307.9, unit=[-(2**20), 0, 2**20], log_running=0.0, exponent=0)
+@example(offset=0.0, log_spread=307.9, unit=[-(2**20), 2**20, 2**20], log_running=307.9, exponent=-64)
+# a finite sum of deviations at or past 2**1023: 2 ** frexp(sum) overflowed
+@example(offset=0.0, log_spread=307.0, unit=[0, 17985], log_running=0.0, exponent=10)
 def test_noise_strength_at_extreme_cost_spreads(offset, log_spread, unit, log_running, exponent):
-    J = offset + 10.0**log_spread * np.array(unit) / 2**20
-    running, c = 10.0**log_running, 2.0**exponent
+    J = offset + 10.0**log_spread * (np.array(unit) / 2**20)
+    running = 10.0**log_running
+    c = 2.0 ** min(exponent, 1024 - math.frexp(max(np.abs(J).max(), running))[1])  # c * J stays finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s, new_max = noise_strength(J, running)
@@ -168,20 +195,27 @@ def test_squash_lands_in_the_closed_bounds(bounds, u):
     assert np.array_equal(out, np.clip(plain, low, high))
 
 
+CEILING_MEANS = st.one_of(MEANS, st.floats(-PREV_CEILING, PREV_CEILING), st.sampled_from([-PREV_CEILING, PREV_CEILING]))
+CEILING_SCALES = st.one_of(SCALES, st.floats(SIGMA_FLOOR, PREV_CEILING), st.just(PREV_CEILING))
+
+
 @settings(deadline=None)
 @given(
     variant=st.sampled_from(VARIANTS),
-    mu=st.lists(MEANS, min_size=16, max_size=16),
-    sigma=st.lists(SCALES, min_size=16, max_size=16),
+    mu=st.lists(CEILING_MEANS, min_size=16, max_size=16),
+    sigma=st.lists(CEILING_SCALES, min_size=16, max_size=16),
+    eta=st.floats(0.0, 1.0),
 )
-def test_solve_from_a_wide_prev_returns_a_finite_in_bounds_action(variant, mu, sigma):
-    # theta+- and the momentum points theta~+- of a point_reacher policy (A, H) = (2, 2)
+def test_solve_from_a_wide_prev_returns_a_finite_in_bounds_action(variant, mu, sigma, eta):
+    # theta+- and the momentum points theta~+- of a point_reacher policy (A, H) = (2, 2),
+    # up to the ceiling; the state returned is accepted as the next prev
     mu, sigma = np.reshape(mu, (2, 2, 2, 2)), np.reshape(sigma, (2, 2, 2, 2))
-    config = SolverConfig(n_candidates=8, horizon=2, max_iterations=3)
+    config = SolverConfig(n_candidates=8, horizon=2, max_iterations=3, eta=eta)
     prev = SolverState(mu[0], sigma[0], mu[1], sigma[1], a_i=config.alpha, A_i=config.alpha)
     env = make_env("point_reacher")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result, _ = solve(env, env.initial_state, config, variant=variant, prev=prev)
+        result, state = solve(env, env.initial_state, config, variant=variant, prev=prev)
+        solve(env, env.initial_state, config, variant=variant, prev=state, step=1)
     assert np.isfinite(result.u).all()
     assert ((env.action_low <= result.u) & (result.u <= env.action_high)).all()

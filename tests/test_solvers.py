@@ -1,10 +1,12 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from rkmpc.policy import (
 )
 from rkmpc.prefetch import Drawn
 from rkmpc.solvers import (
+    PREV_CEILING,
     VARIANTS,
     SolverConfig,
     SolverState,
@@ -859,6 +862,64 @@ class TestSolve:
         # below eta = 1 the warm start blends in alpha, so every variant runs
         result, out = solve(env, env.initial_state, replace(config, eta=0.5), variant=variant, prev=hand_built, step=1)
         assert result.iterations == 2 and out.a_i > 0.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("mu", math.nextafter(PREV_CEILING, math.inf)), ("mu", -math.nextafter(PREV_CEILING, math.inf)),
+         ("sigma", math.nextafter(PREV_CEILING, math.inf)), ("mu", 1e200), ("sigma", 1e120)],
+        ids=["mu_above", "mu_below", "sigma_above", "mu_1e200", "sigma_1e120"],
+    )
+    def test_prev_beyond_the_ceiling_rejected(self, variant, name, value):
+        # from mu = 1e200 or sigma = 1e120 the updates overflowed inside solve
+        env = make_env("point_reacher")
+        config = quick_config(n_candidates=16, horizon=6, max_iterations=4)
+        _, state = solve(env, env.initial_state, config, variant=variant)
+        bad = getattr(state, name).copy()
+        bad[1, 0, 2] = value
+        message = f"prev.{name} must be within +-1e+50, got a value of magnitude {abs(value):g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(env, env.initial_state, config, variant=variant, prev=replace(state, **{name: bad}), step=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0])
+    def test_episode_from_the_ceiling_accepts_every_state_it_returns(self, variant, eta):
+        # An update may step past the ceiling (reject from |mu| = 1e50, sigma = 1e-6
+        # reached sigma of about 1e66 on pendulum_swingup); solve clips what it returns.
+        config = SolverConfig(n_candidates=16, horizon=6, max_iterations=4, eta=eta)
+        for env_name in ("point_reacher", "pendulum_swingup"):
+            env = make_env(env_name)
+            shape = (2, env.action_dim, config.horizon)
+            for mu, sigma in [(PREV_CEILING, PREV_CEILING), (-PREV_CEILING, SIGMA_FLOOR), (0.0, PREV_CEILING)]:
+                state = SolverState(np.full(shape, mu), np.full(shape, sigma), np.full(shape, mu), np.full(shape, sigma),
+                                    a_i=config.alpha, A_i=config.alpha)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for step in range(3):
+                        result, state = solve(env, env.initial_state, config, variant=variant, prev=state, step=step)
+                        assert np.isfinite(result.u).all()
+                assert np.abs(state.mu).max() <= PREV_CEILING and state.sigma.max() <= PREV_CEILING
+
+    def test_accel_at_costs_near_the_float_max(self):
+        # J.sum() in noise_strength overflowed, s came out NaN, and solve raised "mu must be finite"
+        bowl = make_env("quadratic_bowl")
+        env = replace(bowl, stage_cost=lambda x, u: 1e307 * u[:, 0] ** 2)
+        config = SolverConfig(n_candidates=32, horizon=4, max_iterations=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = solve(env, env.initial_state, config, variant="accel")
+        assert result.iterations == 4 and 0.0 <= result.noise_strength_final <= 1.0
+        assert math.isfinite(result.best_cost)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tiny_temperature(self, variant):
+        # (J - min J) / 1e-320 overflowed in the MPPI weights; exp(-inf) = 0 was already the right weight
+        env = make_env("pendulum_swingup")
+        config = SolverConfig(n_candidates=32, horizon=12, max_iterations=4, weights=WeightConfig(temperature=1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, state = solve(env, env.initial_state, config, variant=variant)
+        assert result.iterations == 4 and np.isfinite(result.u).all()
 
     def test_side_accessors_return_frozen_copies(self):
         env = make_env("point_reacher")
