@@ -12,8 +12,8 @@ import io
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from statistics import mean, pstdev
 
-from .envs import EnvSpec, make_env, rollout_batch
-from .solvers import VARIANTS, SolverConfig, SolverState, _check_integers, solve
+from .envs import EnvSpec, _check_integers, make_env, rollout_batch
+from .solvers import VARIANTS, SolverConfig, SolverState, solve
 from .policy import squash
 from .weights import WeightConfig
 
@@ -182,9 +182,9 @@ def ablation_sweeps(
 ) -> list[tuple[float, float, float]]:
     """Per-value (value, mean total reward, population std) over the seeds."""
     if param not in SWEEPABLE:
-        raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+        raise ValueError(f"sweep parameter (--param) must be one of {SWEEPABLE}, got {param!r}")
     if not values:
-        raise ValueError("empty sweep")
+        raise ValueError("empty sweep: --values lists no value")
     out = []
     for value in values:
         records = run_experiment(_with_param(base, param, value))

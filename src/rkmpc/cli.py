@@ -178,8 +178,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_sweep = sub.add_parser("sweep", help="ablation sweep over one parameter")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
-    p_sweep.add_argument("--values", required=True, type=_comma_list(float), help="comma-separated values")
+    # not required=True: argparse checks that before the INI file's values become defaults
+    p_sweep.add_argument("--param", choices=SWEEPABLE)
+    p_sweep.add_argument("--values", type=_comma_list(float), help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare solver variants on one task")

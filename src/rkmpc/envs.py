@@ -9,7 +9,9 @@ model mismatch is out of scope.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,6 +36,17 @@ OVERLAP_CURVATURE = 20.0
 QUADRATIC_TARGET = 0.5
 
 
+def _check_integers(values: dict[str, object]) -> None:
+    """Reject any value that is not an integer (numpy's integers are; bool is not), by name."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _no_constraint(x, u):
+    return np.full(x.shape[0], -1.0)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Dynamics, costs, and bounds of one control task (batched callables).
@@ -48,11 +61,13 @@ class EnvSpec:
     bits in either layout, but a row reduction over 8 or more columns, such
     as x.sum(axis=1), may differ in the last bit from the same call on a
     C-ordered array (numpy sums 8 or more contiguous values pairwise).
-    action_low and action_high are finite (action_dim,) arrays with low < high
-    in every dimension, initial_state has shape (state_dim,), and
-    constraint_penalty is finite and >= 0; a bad field raises ValueError at
-    construction, `dataclasses.replace` included.  The three array fields are
-    stored as float arrays, so they may be given as lists.
+    constraint defaults to none (-1 for every row, so no penalty).
+    state_dim and action_dim are integers >= 1 (not bool), the four callables
+    are callable, action_low and action_high are finite (action_dim,) arrays
+    with low < high in every dimension, initial_state has shape (state_dim,),
+    and constraint_penalty is finite and >= 0; a bad field raises ValueError
+    naming it at construction, `dataclasses.replace` included.  The three
+    array fields are stored as float arrays, so they may be given as lists.
     """
 
     name: str
@@ -63,11 +78,18 @@ class EnvSpec:
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stage_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     terminal_cost: Callable[[np.ndarray], np.ndarray]
-    constraint: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    constraint: Callable[[np.ndarray, np.ndarray], np.ndarray] = _no_constraint
     constraint_penalty: float = DEFAULT_PENALTY
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
+        _check_integers({"state_dim": self.state_dim, "action_dim": self.action_dim})
+        for name in ("state_dim", "action_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("dynamics", "stage_cost", "terminal_cost", "constraint"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
         for name in ("action_low", "action_high", "initial_state"):  # lists and int arrays too
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("action_low", "action_high"):
@@ -143,10 +165,6 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     return J
 
 
-def _no_constraint(x, u):
-    return np.full(x.shape[0], -1.0)
-
-
 def _static(name: str, action_cost: Callable[[np.ndarray], np.ndarray]) -> EnvSpec:
     """1-D static landscape: state is inert, cost depends on the action only."""
     return EnvSpec(
@@ -158,50 +176,26 @@ def _static(name: str, action_cost: Callable[[np.ndarray], np.ndarray]) -> EnvSp
         dynamics=lambda x, u: x,
         stage_cost=lambda x, u: action_cost(u[:, 0]),
         terminal_cost=lambda x: np.zeros(x.shape[0]),
-        constraint=_no_constraint,
         initial_state=np.zeros(1),
     )
 
 
-def quadratic_bowl() -> EnvSpec:
-    """Unimodal 1-D quadratic in the action; minimum at QUADRATIC_TARGET."""
-    return _static("quadratic_bowl", lambda u: (u - QUADRATIC_TARGET) ** 2)
-
-
-def bimodal_valley_cost(u: np.ndarray) -> np.ndarray:
-    m1, m2 = BIMODAL_MODES
-    d1, d2 = BIMODAL_DEPTHS
-    k = BIMODAL_CURVATURE
+def _two_wells(u: np.ndarray, modes: tuple, depths: tuple, k: float) -> np.ndarray:
+    (m1, m2), (d1, d2) = modes, depths
     return np.minimum(d1 + k * (u - m1) ** 2, d2 + k * (u - m2) ** 2)
 
 
-def bimodal_valley() -> EnvSpec:
-    """Two separated minima of slightly different depth; mode-seeking test bed."""
-    return _static("bimodal_valley", bimodal_valley_cost)
+def bimodal_valley_cost(u: np.ndarray) -> np.ndarray:
+    return _two_wells(u, BIMODAL_MODES, BIMODAL_DEPTHS, BIMODAL_CURVATURE)
 
 
 def trap_corridor_cost(u: np.ndarray) -> np.ndarray:
-    m1, m2 = TRAP_MODES
-    d1, d2 = TRAP_DEPTHS
-    k = TRAP_CURVATURE
-    base = np.minimum(d1 + k * (u - m1) ** 2, d2 + k * (u - m2) ** 2)
-    return base + TRAP_COST * (u > TRAP_EDGE)
-
-
-def trap_corridor() -> EnvSpec:
-    """Two good regions, the better one adjacent to a catastrophic trap."""
-    return _static("trap_corridor", trap_corridor_cost)
+    return _two_wells(u, TRAP_MODES, TRAP_DEPTHS, TRAP_CURVATURE) + TRAP_COST * (u > TRAP_EDGE)
 
 
 def overlap_trap_cost(u: np.ndarray) -> np.ndarray:
     base = OVERLAP_CURVATURE * (u - OVERLAP_GOOD) ** 2
     return base + OVERLAP_BAD_COST * (np.abs(u - OVERLAP_BAD_CENTER) < OVERLAP_BAD_HALFWIDTH)
-
-
-def overlap_trap() -> EnvSpec:
-    """Quadratic valley with a severe cost band right beside its floor, so a
-    density model of the bad candidates overlaps the good region."""
-    return _static("overlap_trap", overlap_trap_cost)
 
 
 def point_reacher() -> EnvSpec:
@@ -235,7 +229,6 @@ def point_reacher() -> EnvSpec:
         dynamics=dynamics,
         stage_cost=stage,
         terminal_cost=terminal,
-        constraint=_no_constraint,
         initial_state=np.zeros(4),
     )
 
@@ -278,16 +271,24 @@ def pendulum_swingup() -> EnvSpec:
         dynamics=dynamics,
         stage_cost=stage,
         terminal_cost=terminal,
-        constraint=_no_constraint,
         initial_state=np.array([np.pi, 0.0]),
     )
 
 
+_STATIC_COSTS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    # unimodal 1-D quadratic in the action; minimum at QUADRATIC_TARGET
+    "quadratic_bowl": lambda u: (u - QUADRATIC_TARGET) ** 2,
+    # two separated minima of slightly different depth; mode-seeking test bed
+    "bimodal_valley": bimodal_valley_cost,
+    # two good regions, the better one adjacent to a catastrophic trap
+    "trap_corridor": trap_corridor_cost,
+    # quadratic valley with a severe cost band right beside its floor, so a
+    # density model of the bad candidates overlaps the good region
+    "overlap_trap": overlap_trap_cost,
+}
+
 REGISTRY: dict[str, Callable[[], EnvSpec]] = {
-    "quadratic_bowl": quadratic_bowl,
-    "bimodal_valley": bimodal_valley,
-    "trap_corridor": trap_corridor,
-    "overlap_trap": overlap_trap,
+    **{name: partial(_static, name, cost) for name, cost in _STATIC_COSTS.items()},
     "point_reacher": point_reacher,
     "pendulum_swingup": pendulum_swingup,
 }

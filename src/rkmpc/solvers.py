@@ -36,13 +36,12 @@ draw reaches the caller of `solve` unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import EnvSpec, rollout_batch
+from .envs import EnvSpec, _check_integers, rollout_batch
 from .policy import (
     SIGMA_FLOOR,
     PolicyParams,
@@ -70,13 +69,6 @@ PREFETCH_MIN_NORMALS = 32_768
 # A warm-start prev whose theta+- holds a |mu| or sigma above this is rejected.  From
 # a prev at 1e70 the updates overflowed; at 1e50 and 1e60 none did (see README).
 PREV_CEILING = 1e50
-
-
-def _check_integers(values: dict[str, object]) -> None:
-    """Reject any value that is not an integer (numpy's integers are; bool is not), by name."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -306,7 +298,8 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     Compares the standard deviation with the mean absolute deviation (equal
     for symmetric two-point samples; ratio ~0.8 for Gaussians) and scales by
     the running maximum of the per-iteration MADs, which is robust to cost
-    outliers.  Returns (s, updated running max).
+    outliers.  Returns (s, updated running max).  The costs must be finite
+    (ValueError otherwise).
     """
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 2:
@@ -315,6 +308,8 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
         absdev = np.abs(J - J.sum() / J.size)  # what J.std() and J.mean() compute, without their wrappers
         abs_sum = absdev.sum()
     if not abs_sum < 2.0**1023:  # overflowed, or 2 ** frexp below would: the same estimate of J
+        if not np.isfinite(J).all():  # no scaling makes an inf or NaN sum finite: it would recurse forever
+            raise ValueError("costs must be finite")
         # scaled by 2**-k < 1 / (2N), where no sum overflows
         k = math.frexp(J.size)[1] + 1
         s, new_max = noise_strength(J * 2.0**-k, sigma_max_running * 2.0**-k)
@@ -440,6 +435,8 @@ def _initial_state(
     if prev is None:  # warm_start at eta = 0 from the prior: the prior itself, a1 = A1 = alpha
         mu, sigma = np.stack((prior.mu, prior.mu)), np.stack((prior.sigma, prior.sigma))
         return SolverState(mu, sigma, mu, sigma, a_i=config.alpha, A_i=config.alpha)
+    if not isinstance(prev, SolverState):  # such as the ControlResult, or a (mu, sigma) pair
+        raise TypeError(f"prev must be a SolverState (solve's second return value) or None, got {type(prev).__name__}")
     want = (2,) + prior.mu.shape  # the (+, -) sides of one (A, H) policy each
     for name in ("mu", "sigma", "tilde_mu", "tilde_sigma"):
         got = np.shape(getattr(prev, name))

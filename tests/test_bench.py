@@ -405,6 +405,26 @@ class TestCli:
         assert lines[0] == "gamma,mean_total_reward,std_total_reward"
         assert len(lines) == 3
 
+    def test_sweep_reads_param_and_values_from_the_ini_file(self, tmp_path, capsys):
+        # argparse checked required=True before the file's values became defaults, so this exited 2
+        settings = {"env": "quadratic_bowl", "steps": "2", "iterations": "2", "horizon": "2", "candidates": "16"}
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
+                       + "param = kappa\nvalues = 0,1\n")
+        flags = [f"--{k}={v}" for k, v in settings.items()]
+        assert main(["sweep", "--config", str(ini), "--output", str(tmp_path / "ini")]) == 0
+        assert main(["sweep", *flags, "--param", "kappa", "--values", "0,1", "--output", str(tmp_path / "flag")]) == 0
+        name = "bench_quadratic_bowl_accel_kappa_sweep.csv"
+        assert (tmp_path / "ini" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+    @pytest.mark.parametrize("given, missing", [(["--values", "0,1"], "--param"), (["--param", "kappa"], "--values")])
+    def test_sweep_missing_param_or_values_exits_two_naming_it(self, tmp_path, capsys, given, missing):
+        code = main(["sweep", "--env", "quadratic_bowl", "--steps", "1", "--iterations", "1",
+                     "--output", str(tmp_path), *given])
+        assert code == 2
+        assert missing in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_compare_command(self, tmp_path, capsys):
         code = main([
             "compare", "--env", "quadratic_bowl", "--horizon", "2",

@@ -332,6 +332,38 @@ class TestEnvSpecChecks:
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(make_env("point_reacher"), **fields)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"state_dim": 2.0}, "state_dim must be an integer, got 2.0"),
+            ({"state_dim": True, "initial_state": np.zeros(1)}, "state_dim must be an integer, got True"),
+            ({"action_dim": np.float64(1.0)}, "action_dim must be an integer, got "),
+            ({"action_dim": 0, "action_low": np.zeros(0), "action_high": np.zeros(0)}, "action_dim must be >= 1, got 0"),
+            ({"state_dim": 0, "initial_state": np.zeros(0)}, "state_dim must be >= 1, got 0"),
+            ({"dynamics": None}, "dynamics must be callable, got None"),
+            ({"stage_cost": 0.0}, "stage_cost must be callable, got 0.0"),
+            ({"terminal_cost": None}, "terminal_cost must be callable, got None"),
+            ({"constraint": None}, "constraint must be callable, got None"),
+        ],
+        ids=["state_dim_float", "state_dim_bool", "action_dim_numpy_float", "action_dim_zero", "state_dim_zero",
+             "dynamics_none", "stage_cost_float", "terminal_cost_none", "constraint_none"],
+    )
+    def test_bad_sizes_or_callables_rejected(self, fields, match):
+        # each passed construction, then failed inside solve (TypeError, or ValueError from PolicyParams)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(make_env("pendulum_swingup"), **fields)
+
+    def test_constraint_defaults_to_none(self):
+        fields = {f.name: getattr(zero_env(), f.name) for f in dataclasses.fields(EnvSpec) if f.name != "constraint"}
+        env = EnvSpec(**fields)
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 1, 3))
+        np.testing.assert_array_equal(env.constraint(np.zeros((5, 1)), u[:, :, 0]), np.full(5, -1.0))
+        np.testing.assert_array_equal(rollout_batch(env, env.initial_state, u), rollout_batch(zero_env(), env.initial_state, u))
+
+    def test_numpy_integer_sizes_accepted(self):
+        env = dataclasses.replace(make_env("pendulum_swingup"), state_dim=np.int64(2), action_dim=np.int32(1))
+        assert (env.state_dim, env.action_dim) == (2, 1)
+
     @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_nonfinite_or_negative_constraint_penalty_rejected(self, penalty):
         # a NaN penalty marked every rollout diverged; a negative one rewarded violations

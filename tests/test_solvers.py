@@ -417,6 +417,12 @@ class TestNoiseStrength:
         with pytest.raises(ValueError):
             noise_strength(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_cost_rejected(self, bad):
+        # scaling never made the overflowed sum finite, so this recursed until RecursionError
+        with pytest.raises(ValueError, match="costs must be finite"):
+            noise_strength(np.array([0.0, bad]), 0.0)
+
 
 class TestStepSizeAdvance:
     def test_gamma_zero_pure_nag(self):
@@ -780,6 +786,15 @@ class TestSolve:
         env = make_env(env_name)
         with pytest.raises(ValueError, match=r"prev.theta_plus has shape \(1, 4\), expected " + expected):
             solve(env, env.initial_state, quick_config(horizon=horizon), prev=state, step=1)
+
+    def test_prev_that_is_not_a_solver_state_rejected(self):
+        # the ControlResult, or a (mu, sigma) pair, raised AttributeError: ... has no attribute 'mu'
+        env = make_env("quadratic_bowl")
+        config = quick_config(max_iterations=2)
+        result, state = solve(env, env.initial_state, config)
+        for prev in (result, (state.mu, state.sigma)):
+            with pytest.raises(TypeError, match=f"prev must be a SolverState .*, got {type(prev).__name__}"):
+                solve(env, env.initial_state, config, prev=prev, step=1)
 
     @pytest.mark.parametrize("name", ["mu", "sigma", "tilde_mu", "tilde_sigma"])
     def test_every_stored_array_of_prev_checked(self, name):
