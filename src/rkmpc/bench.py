@@ -17,7 +17,7 @@ from .solvers import VARIANTS, SolverConfig, SolverState, solve
 from .policy import squash
 from .weights import WeightConfig
 
-SWEEPABLE = ("kappa", "gamma", "beta", "alpha")
+SWEEPABLE = ("kappa", "gamma", "beta", "alpha", "eta")
 
 TIMING_HEADER = ["seed", "step", "wall_time"]
 

@@ -138,7 +138,8 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
         raise ValueError(f"x_t must have shape {(env.state_dim,)}, got {np.shape(x_t)}")
     n, a, horizon = u_squashed.shape
     block = max(1, BLOCK_ROWS // max(n, 1))
-    # (H, N, A) and (steps, N, state_dim) views of (A, H, N) and (state_dim, steps, N)
+    # (H, N, A) and (steps, N, state_dim) views of (A, H, N) and (state_dim, steps, N);
+    # `squash` returns its batch in (A, H, N) memory, so the actions are not copied
     u_at = np.ascontiguousarray(u_squashed.transpose(1, 2, 0)).transpose(1, 2, 0)
     x_at = np.empty((env.state_dim, min(block, horizon) + 1, n)).transpose(1, 2, 0)  # one block of states
     x_at[0] = x_t

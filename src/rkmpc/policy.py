@@ -83,22 +83,34 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     per-action-dim arrays of shape (A,), broadcast over the horizon axis.
     Once tanh saturates (|u| > about 19), mid + half * tanh(u) can round one
     ulp past a bound, so the result is clamped; values strictly inside keep their bits.
+
+    The result is a new array with the shape of `u_raw`, never a view of it.
+    A batch (..., A, H) is computed in (A, H, ...) memory and returned as a
+    (..., A, H) view of it, so `rollout_batch` takes its (A, H, N) layout
+    without a copy.  Every value has the bits of the same map on one (A, H)
+    sequence.
     """
     u_raw = np.asarray(u_raw, dtype=float)
-    if not np.isfinite(u_raw).all():
-        raise ValueError("squash input must be finite")
-    low = np.asarray(low, dtype=float).reshape(-1, 1)
-    high = np.asarray(high, dtype=float).reshape(-1, 1)
-    if (low >= high).any():
+    bounds_shape = (-1,) + (1,) * (u_raw.ndim - 1)  # (A, 1, ...): over (A, H, ...) memory
+    low = np.asarray(low, dtype=float).reshape(bounds_shape)
+    high = np.asarray(high, dtype=float).reshape(bounds_shape)
+    # count_nonzero, not .any() / .all(): the same tests at less cost on small batches
+    if np.count_nonzero(np.greater_equal(low, high)):
         raise ValueError("action bounds require low < high per dimension")
+    out = np.empty(u_raw.shape[-2:] + u_raw.shape[:-2])
+    squashed = out.transpose(tuple(range(2, out.ndim)) + (0, 1))  # the result, shaped as u_raw
+    np.copyto(squashed, u_raw)
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) != finite.size:
+        raise ValueError("squash input must be finite")
     mid = 0.5 * (low + high)
     half = 0.5 * (high - low)
-    out = np.tanh(u_raw)
+    np.tanh(out, out=out)  # on contiguous memory: numpy may take another tanh loop for strided input
     out *= half
     out += mid
     np.maximum(out, low, out=out)
     np.minimum(out, high, out=out)
-    return out
+    return squashed
 
 
 def log_density(params: PolicyParams, u_raw: np.ndarray) -> np.ndarray:

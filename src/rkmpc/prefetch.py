@@ -1,11 +1,12 @@
 """Candidate draws made one solver iteration ahead, on a worker thread.
 
-An iteration's standard normals and Gumbel keys come from a Generator that
-depends on (seed, step, iteration) alone, so iteration i + 1's can be drawn
-while iteration i runs.  `Prefetch` draws them on one worker thread into
-buffers it owns.  numpy fills an array without holding the GIL, so the fill
-runs beside the calling thread's numpy work; everything else stays on the
-calling thread.  `solve` imports this module only when it prefetches (see
+An iteration's standard normals (and, for reject and accel, its Gumbel keys)
+come from a Generator that depends on (seed, step, iteration) alone, so
+iteration i + 1's can be drawn while iteration i runs.  `Prefetch` draws them
+on one worker thread into buffers it owns, for any of the four variants.
+numpy fills an array without holding the GIL, so the fill runs beside the
+calling thread's numpy work; everything else stays on the calling thread.
+`solve` imports this module only when it prefetches (see
 `rkmpc.solvers.PREFETCH_MIN_NORMALS`): where bytecode is not cached,
 compiling it costs about 1.5 ms of every cold start that does not need it.
 """
@@ -29,11 +30,12 @@ def _served(array: np.ndarray, size) -> np.ndarray:
 class Drawn:
     """Stands in for an iteration's Generator in `compose_and_sample`: serves the
     standard normals and Gumbel keys drawn from it beforehand, with the shapes
-    they were drawn at.  `sample_batch` transforms the normals in place."""
+    they were drawn at.  `sample_batch` transforms the normals in place.  A
+    one-sided draw has no keys (None)."""
 
     __slots__ = ("normals", "keys")
 
-    def __init__(self, normals: np.ndarray, keys: np.ndarray):
+    def __init__(self, normals: np.ndarray, keys: np.ndarray | None):
         self.normals, self.keys = normals, keys
 
     def standard_normal(self, size) -> np.ndarray:
@@ -44,21 +46,22 @@ class Drawn:
 
 
 class Prefetch:
-    """The draws of one two-sided solve, iteration i + 1's made on one worker
-    thread while the calling thread runs iteration i.
+    """The draws of one solve, iteration i + 1's made on one worker thread
+    while the calling thread runs iteration i.
 
     `rng_of(k)` is iteration k's Generator.  Its normals fill buffer k % 2 of
-    shape (n_oversample, A, H), and then its Gumbel keys are drawn, the order
-    the serial path draws in, so the bits are the same.  The calling thread
-    asks for a draw on one queue and takes it, or the exception raised in it,
-    from another, and it takes each draw before asking for the next: at most
-    one draw is in flight, and the worker never writes the buffer the calling
-    thread is sampling from.  `close` asks the worker to stop and joins it
+    `shape`, (n_oversample, A, H) for reject and accel or (n_candidates, A, H)
+    for forward and reverse, and then, with `keys`, its Gumbel keys are drawn:
+    the order the serial path draws in, so the bits are the same.  The calling
+    thread asks for a draw on one queue and takes it, or the exception raised
+    in it, from another, and it takes each draw before asking for the next: at
+    most one draw is in flight, and the worker never writes the buffer the
+    calling thread is sampling from.  `close` asks the worker to stop and joins it
     after the draw in flight.
     """
 
-    def __init__(self, rng_of: Callable[[int], np.random.Generator], shape: tuple[int, int, int]):
-        self._rng_of = rng_of
+    def __init__(self, rng_of: Callable[[int], np.random.Generator], shape: tuple[int, int, int], keys: bool):
+        self._rng_of, self._keys = rng_of, keys
         self._buffers = (np.empty(shape), np.empty(shape))
         self._asked: queue.SimpleQueue[int] = queue.SimpleQueue()  # iterations to draw; 0 stops the worker
         self._drawn: queue.SimpleQueue[Drawn | BaseException] = queue.SimpleQueue()
@@ -69,7 +72,7 @@ class Prefetch:
         rng = self._rng_of(k)
         normals = self._buffers[k % 2]
         rng.standard_normal(normals.shape, out=normals)
-        return Drawn(normals, rng.gumbel(size=normals.shape[0]))
+        return Drawn(normals, rng.gumbel(size=normals.shape[0]) if self._keys else None)
 
     def _work(self) -> None:
         for k in iter(self._asked.get, 0):

@@ -17,10 +17,11 @@ state itself when every weight is zero.  `solve` owns the per-step state, the
 deadline bookkeeping, and the counter-based RNG streams that make each
 iteration's batch a function of (seed, step, iteration) alone.
 
-Because the streams do not depend on earlier iterations, a reject or accel
-solve that draws at least PREFETCH_MIN_NORMALS oversampled normals per
-iteration (n_oversample * A * H) draws iteration i + 1's standard normals and
-Gumbel keys on one worker thread while the calling thread runs iteration i
+Because the streams do not depend on earlier iterations, a solve that draws
+at least PREFETCH_MIN_NORMALS normals per iteration (n_oversample * A * H for
+reject and accel, n_candidates * A * H for forward and reverse) draws
+iteration i + 1's standard normals, and for reject and accel its Gumbel keys,
+on one worker thread while the calling thread runs iteration i
 (`rkmpc.prefetch`), on any host: the rule reads only the solve's own
 arguments.  The solve asks for each draw on one queue and takes it back from
 another.  The worker only fills one of two buffers the solve owns, from
@@ -60,11 +61,13 @@ VARIANTS = ("forward", "reverse", "reject", "accel")
 # where the sum rounds back to that cost (past about 1e22), the next float up is used.
 NONFINITE_PENALTY = 1e6
 Pair = tuple[np.ndarray, np.ndarray]  # (mu, sigma): one policy's (A, H), or sides stacked ahead
-# Reject and accel draw n_oversample * A * H normals per iteration; from this many
-# on, a solve draws the next iteration's on a worker thread.  In a sweep of reject
-# and accel solves (A = 1 and 2, H = 12..50) the hand-offs cost more than they
-# saved up to 16,384 normals (0.92-1.63x the serial iteration time), and from
-# 32,768 on an iteration took 0.62-0.84x (see CHANGES.md).
+# From this many normals drawn per iteration on, a solve draws the next
+# iteration's on a worker thread.  In a sweep of reject and accel solves (A = 1
+# and 2, H = 12..50) the hand-offs cost more than they saved up to 16,384 normals
+# (0.92-1.63x the serial iteration time), and from 32,768 on an iteration took
+# 0.62-0.84x; forward took 0.71-0.94x from 32,800 on, and reverse 0.89-0.97x in
+# 8 of 9 sets at 32,800 (1.03x in the ninth) and 0.85-0.94x from 49,200 on
+# (see CHANGES.md).
 PREFETCH_MIN_NORMALS = 32_768
 # A warm-start prev whose theta+- holds a |mu| or sigma above this is rejected.  From
 # a prev at 1e70 the updates overflowed; at 1e50 and 1e60 none did (see README).
@@ -416,13 +419,21 @@ def _iteration_rng(seed: int, step: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step, iteration)))
 
 
-def _prefetches(variant: str, config: SolverConfig, action_dim: int) -> bool:
-    """Whether a solve draws each next iteration's candidates on a worker thread.
+def _drawn_per_iteration(variant: str, config: SolverConfig) -> int:
+    """Candidates drawn per iteration: oversampled for reject and accel."""
+    return config.n_oversample if variant in ("reject", "accel") else config.n_candidates
 
-    The host's CPUs play no part: pinned to one CPU, prefetched episodes
-    measured neither faster nor slower than serial ones (README).
+
+def _prefetches(variant: str, config: SolverConfig, action_dim: int) -> bool:
+    """Whether a solve draws each next iteration's candidates on a worker thread:
+    one rule for all four variants, on the normals each draws per iteration.
+
+    The host's CPUs play no part: pinned to one CPU, prefetched reject and
+    accel episodes measured neither faster nor slower than serial ones,
+    reacher-shape forward about 1% slower, and reverse and smaller forward
+    draws 3-7% slower (README).
     """
-    return variant in ("reject", "accel") and config.n_oversample * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
+    return _drawn_per_iteration(variant, config) * action_dim * config.horizon >= PREFETCH_MIN_NORMALS
 
 
 def _initial_state(
@@ -520,8 +531,8 @@ def solve(
     if _prefetches(variant, config, env.action_dim):
         from .prefetch import Prefetch  # loaded only where used; see its module docstring
 
-        shape = (config.n_oversample, env.action_dim, config.horizon)
-        prefetch = Prefetch(lambda k: _iteration_rng(seed, step, k), shape)
+        shape = (_drawn_per_iteration(variant, config), env.action_dim, config.horizon)
+        prefetch = Prefetch(lambda k: _iteration_rng(seed, step, k), shape, keys=two_sided)
 
     start = time.monotonic()
     iter_times: list[float] = []

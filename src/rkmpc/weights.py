@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,22 @@ class WeightConfig:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-def _check_costs(J: np.ndarray) -> np.ndarray:
+def _check_costs(J: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(J, min J, max J), J flattened to floats."""
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 1:
         raise ValueError("need at least one candidate cost")
-    if not np.isfinite(J).all():
+    lo, hi = float(J.min()), float(J.max())  # a NaN or an infinity in J reaches one of them
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("costs must be finite (fold violations into J as penalties first)")
-    return J
+    return J, lo, hi
 
 
-def _backend_weights(J: np.ndarray, config: WeightConfig, total: float, quantile: float) -> np.ndarray:
-    """Backend weights over J rescaled to sum `total` (zeros when total == 0)."""
+def _backend_weights(
+    J: np.ndarray, lo: float, hi: float, config: WeightConfig, total: float, quantile: float
+) -> np.ndarray:
+    """Backend weights over J, whose min and max are lo and hi, rescaled to sum
+    `total` (zeros when total == 0)."""
     n = J.size
     if total == 0.0:
         return np.zeros(n)
@@ -61,7 +67,11 @@ def _backend_weights(J: np.ndarray, config: WeightConfig, total: float, quantile
     # normalization makes the shift immaterial.  min - J is -(J - min) exactly.
     # Below temperature 1 the quotient can overflow; exp is 0 from about -745
     # down, so gaps past 746 temperatures are clamped there, keeping every bit.
-    gap = J.min() - J
+    if hi - lo <= sys.float_info.max:  # Python floats: never warns
+        gap = lo - J
+    else:  # a gap past the float max is -inf, whose exp is the right weight, 0
+        with np.errstate(over="ignore"):
+            gap = lo - J
     if config.temperature < 1.0:
         np.maximum(gap, -746.0 * config.temperature, out=gap)
     e = np.exp(gap / config.temperature)
@@ -70,8 +80,8 @@ def _backend_weights(J: np.ndarray, config: WeightConfig, total: float, quantile
 
 def forward_weights(J: np.ndarray, config: WeightConfig) -> np.ndarray:
     """Nonnegative optimality weights, rescaled so the sum equals N."""
-    J = _check_costs(J)
-    return _backend_weights(J, config, float(J.size), config.quantile)
+    J, lo, hi = _check_costs(J)
+    return _backend_weights(J, lo, hi, config, float(J.size), config.quantile)
 
 
 def signed_log_weights(J: np.ndarray, config: WeightConfig) -> np.ndarray:
@@ -81,10 +91,10 @@ def signed_log_weights(J: np.ndarray, config: WeightConfig) -> np.ndarray:
     to beta * N.  For CEM this is realized as a tighter beta*quantile
     threshold over the worst candidates.
     """
-    J = _check_costs(J)
+    J, lo, hi = _check_costs(J)
     n = float(J.size)
-    positive = _backend_weights(J, config, n, config.quantile)
-    negative = _backend_weights(-J, config, config.beta * n, config.beta * config.quantile)
+    positive = _backend_weights(J, lo, hi, config, n, config.quantile)
+    negative = _backend_weights(-J, -hi, -lo, config, config.beta * n, config.beta * config.quantile)
     return positive - negative
 
 

@@ -177,10 +177,10 @@ class TestAblationSweeps:
 
     @pytest.mark.parametrize("param", SWEEPABLE)
     def test_each_param_sets_only_its_own_field(self, param):
-        base = tiny_config()
-        weights = replace(base.solver.weights, beta=0.25) if param == "beta" else base.solver.weights
-        solver = replace(base.solver, weights=weights, **({} if param == "beta" else {param: 0.25}))
-        assert _with_param(base, param, 0.25) == replace(base, solver=solver) != base
+        base = tiny_config()  # 0.375 is no parameter's value in it
+        weights = replace(base.solver.weights, beta=0.375) if param == "beta" else base.solver.weights
+        solver = replace(base.solver, weights=weights, **({} if param == "beta" else {param: 0.375}))
+        assert _with_param(base, param, 0.375) == replace(base, solver=solver) != base
 
 
 def config_from_main(tmp_path, monkeypatch, *flags):

@@ -162,6 +162,27 @@ class TestBitIdenticalToReference:
         assert all(same_bits(x, y) for x, y in zip((u, lnH, cluster), before))
 
 
+@pytest.mark.parametrize("shape", [(32, 1, 12), (1024, 2, 50), (4096, 1, 50), (5, 1, 1), (1, 1, 1)])
+class TestSquashLayout:
+    """A batch is squashed in (A, H, N) memory, the layout `rollout_batch` reads."""
+
+    def test_never_shares_memory_with_its_input(self, shape):
+        _, u = case(shape)
+        assert not np.shares_memory(squash(u, [-1.0] * shape[1], [2.0] * shape[1]), u)
+
+    def test_rollout_layout_needs_no_copy(self, shape):
+        _, u = case(shape)
+        out = squash(u, [-1.0] * shape[1], [2.0] * shape[1])
+        assert out.shape == shape and out.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_each_row_has_the_bits_of_its_own_sequence(self, shape):
+        _, u = case(shape)
+        a = shape[1]
+        low, high = -np.arange(1.0, a + 1.0), np.linspace(0.5, 3.0, a)
+        out = squash(u, low, high)
+        assert all(same_bits(out[n], squash(u[n], low, high)) for n in range(shape[0]))
+
+
 def peak_bytes(fn, *args):
     """Peak traced memory of fn(*args), above what was traced before the call."""
     tracemalloc.start()

@@ -1064,7 +1064,7 @@ class TestSolve:
 
 
 def engage_prefetch(monkeypatch):
-    """Prefetch the draws of every reject and accel solve, whatever their size."""
+    """Prefetch the draws of every solve, whatever their size."""
     monkeypatch.setattr(solvers, "PREFETCH_MIN_NORMALS", 0)
 
 
@@ -1142,11 +1142,23 @@ class TestPrefetch:
         src = Path(rkmpc.__file__).resolve().parent.parent
         subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
 
-    def test_engages_only_for_large_two_sided_draws(self):
+    def test_engages_only_for_large_draws(self):
+        # the normals a variant draws per iteration: n_oversample * A * H for
+        # reject and accel, n_candidates * A * H for forward and reverse
         trap = self.trap
-        assert solvers._prefetches("reject", trap, 1) and solvers._prefetches("accel", trap, 1)
-        assert not solvers._prefetches("forward", trap, 2) and not solvers._prefetches("reverse", trap, 2)
-        assert not solvers._prefetches("accel", SolverConfig(n_candidates=32, n_oversample=128, horizon=12), 1)
+        assert all(solvers._prefetches(variant, trap, 2) for variant in VARIANTS)
+        few = replace(trap, n_candidates=256)
+        assert solvers._prefetches("reject", few, 1) and solvers._prefetches("accel", few, 1)
+        assert not solvers._prefetches("forward", few, 1) and not solvers._prefetches("reverse", few, 1)
+        swingup = SolverConfig(n_candidates=32, n_oversample=128, horizon=12)
+        assert not any(solvers._prefetches(variant, swingup, 1) for variant in VARIANTS)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_swingup_shape_draws_on_the_calling_thread(self, variant, draws_made):
+        env = make_env("pendulum_swingup")
+        config = SolverConfig(n_candidates=32, n_oversample=128, horizon=12, max_iterations=3)
+        solve(env, env.initial_state, config, variant=variant)
+        assert draws_made == [("MainThread", k) for k in (1, 2, 3)]
 
     def test_engages_whatever_cpus_the_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1198,10 +1210,7 @@ class TestPrefetch:
         draws_made.clear()
         assert_same_episode(episode(env, config, variant), serial)
         on_worker = [k for name, k in draws_made if name == "rkmpc-prefetch"]
-        if variant in ("reject", "accel"):  # per step: iteration 1 on the calling thread, 2..5 on the worker
-            assert on_worker == [2, 3, 4, 5] * 4
-        else:
-            assert not on_worker
+        assert on_worker == [2, 3, 4, 5] * 4  # per step: iteration 1 on the calling thread, 2..5 on the worker
 
     def test_concurrent_solves_keep_their_bits(self, monkeypatch):
         # three episodes at once, each solve with its own worker: six threads

@@ -117,6 +117,13 @@ class TestSignedLogWeights:
             lnH = signed_log_weights(J, config)
             assert lnH.sum() == pytest.approx((1.0 - beta) * n, abs=1e-9 * n)
 
+    def test_cost_spread_past_the_float_max(self):
+        # the gap min J - J overflows to -inf, whose exp is the right weight, 0
+        J = np.array([-1e308, 1e308, 0.0])
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.array_equal(forward_weights(J, mppi()), [3.0, 0.0, 0.0])
+            assert np.array_equal(signed_log_weights(J, mppi()), [3.0, -3.0, 0.0])
+
     def test_mppi_monotone(self):
         rng = np.random.default_rng(13)
         J = rng.normal(0, 2, 40)
