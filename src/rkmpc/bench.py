@@ -45,6 +45,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        if not isinstance(self.solver, SolverConfig):
+            raise TypeError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown solver variant {self.variant!r}, expected one of {VARIANTS}")
         seeds = {f"seeds[{k}]": seed for k, seed in enumerate(self.seeds)}

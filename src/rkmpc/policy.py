@@ -60,17 +60,14 @@ def standard_prior(action_dim: int, horizon: int) -> PolicyParams:
 def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` pre-squash action sequences, shape (count, A, H).
 
-    `rng` is a Generator, or an object whose `standard_normal(size)` serves
-    normals drawn beforehand into a buffer its owner hands over (the solver's
-    prefetch); that buffer is transformed in place and returned.
+    The standard normals that `rng.standard_normal(size)` returns are
+    transformed in place and returned, whoever serves them: a Generator's
+    fresh array, or a buffer drawn into beforehand.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    normals = rng.standard_normal((count,) + params.mu.shape)
-    if isinstance(rng, np.random.Generator):  # fresh normals: a new array for u measured faster than in place
-        u = params.sigma * normals
-    else:
-        u = np.multiply(normals, params.sigma, out=normals)
+    u = rng.standard_normal((count,) + params.mu.shape)
+    u *= params.sigma
     u += params.mu
     return u
 

@@ -28,10 +28,12 @@ def _served(array: np.ndarray, size) -> np.ndarray:
 
 
 class Drawn:
-    """Stands in for an iteration's Generator in `compose_and_sample`: serves the
-    standard normals and Gumbel keys drawn from it beforehand, with the shapes
-    they were drawn at.  `sample_batch` transforms the normals in place.  A
-    one-sided draw has no keys (None)."""
+    """Stands in for an iteration's Generator in `sample_batch` and
+    `compose_and_sample`: serves the standard normals and Gumbel keys drawn
+    from it beforehand, with the shapes they were drawn at.  `sample_batch`
+    transforms the served normals in place, as it does a Generator's, so the
+    buffer becomes the iteration's batch.  A one-sided draw has no keys
+    (None)."""
 
     __slots__ = ("normals", "keys")
 

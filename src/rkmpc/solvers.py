@@ -88,6 +88,8 @@ class SolverConfig:
     max_iterations: int = 32
 
     def __post_init__(self):
+        if not isinstance(self.weights, WeightConfig):
+            raise TypeError(f"weights must be a WeightConfig, got {type(self.weights).__name__}")
         if self.n_oversample is None:
             object.__setattr__(self, "n_oversample", 4 * self.n_candidates)
         sizes = ("n_candidates", "n_oversample", "horizon", "max_iterations")
@@ -184,9 +186,9 @@ def md_gradient(
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size == 0:
         raise ValueError("empty cluster: no update for this side")
-    u = u_batch[cluster]
+    u = u_batch[cluster]  # a gathered copy, so the subtraction below writes into it
     w = np.asarray(lnH, dtype=float)[cluster][:, None, None]
-    diff = u - mu
+    diff = np.subtract(u, mu, out=u)
     var = sigma**2
     t = -w * diff
     t /= var
@@ -517,6 +519,10 @@ def solve(
     always ranks below every finite candidate.  The state returned has theta+-
     clipped to PREV_CEILING, so it is always accepted as the next prev.
     """
+    if not isinstance(env, EnvSpec):  # such as an env's name: make_env builds its EnvSpec
+        raise TypeError(f"env must be an EnvSpec (see make_env), got {type(env).__name__}")
+    if not isinstance(config, SolverConfig):
+        raise TypeError(f"config must be a SolverConfig, got {type(config).__name__}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown solver variant {variant!r}, expected one of {VARIANTS}")
     _check_integers({"seed": seed, "step": step})

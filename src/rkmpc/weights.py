@@ -29,8 +29,8 @@ class WeightConfig:
             raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):  # inf weighs every cost alike
+            raise ValueError(f"temperature must be > 0 and finite, got temperature={self.temperature}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 

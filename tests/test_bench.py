@@ -364,8 +364,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--gamma", "inf", "5 * gamma must be finite"), ("--seed", "-1", "seeds must be >= 0")],
-        ids=["inf_gamma", "negative_seed"],
+        [
+            ("--gamma", "inf", "5 * gamma must be finite"),
+            ("--temperature", "inf", "temperature must be > 0 and finite, got temperature=inf"),
+            ("--seed", "-1", "seeds must be >= 0"),
+        ],
+        ids=["inf_gamma", "inf_temperature", "negative_seed"],
     )
     def test_bad_setting_exits_two_naming_it(self, tmp_path, capsys, flag, value, message):
         code = main(self.run_args(tmp_path, extra=[flag, value]))

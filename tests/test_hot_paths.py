@@ -14,9 +14,10 @@ per-side refit, mirror-descent and AGD+ steps they replaced, kept here as the
 reference, and a solve builds one validated `PolicyParams` per iteration for
 forward and reverse, two for reject and accel, plus the prior once.
 
-A solve that prefetches its draws hands `sample_batch` normals drawn into a
-buffer it owns, and `sample_batch` transforms that buffer in place, with the
-bits of the fresh-array path.
+`sample_batch` transforms in place whatever normals its `rng` returns: a
+Generator's fresh array, or the buffer a prefetching solve drew into
+beforehand.  Both give the bits of the reference expression, and
+`md_gradient` likewise works in its own gathered copy of the cluster.
 """
 
 import tracemalloc
@@ -214,6 +215,21 @@ class TestMemoryPeak:
         assert solvers._prefetches("reject", config, a)
         solve(env, env.initial_state, config, "reject")  # lazy set-up
         assert peak_bytes(solve, env, env.initial_state, config, "reject") <= 3.4 * n_tilde * a * h * 8
+
+    def test_sample_batch(self):
+        # a Generator's fresh normals are the batch: transformed in place, no second array
+        params, _ = case((1, 50), seed=4)
+        count = 4096
+        assert peak_bytes(sample_batch, params, count, np.random.default_rng(0)) <= 1.1 * count * 1 * 50 * 8
+
+    def test_md_gradient(self):
+        # the gathered cluster and one score temporary, in units of the cluster's (|C|, A, H)
+        params, u = case((1024, 2, 50))
+        lnH = np.random.default_rng(3).normal(0.0, 2.0, u.shape[0])
+        cluster = np.flatnonzero(lnH > 0.0)
+        assert 400 <= cluster.size <= 624  # about half the batch
+        peak = peak_bytes(md_gradient, params.mu, params.sigma, u, lnH, cluster)
+        assert peak <= 2.3 * cluster.size * 2 * 50 * 8
 
     def test_log_density(self):
         params, u = case((4096, 1, 50))

@@ -15,6 +15,7 @@ import pytest
 
 import rkmpc
 import rkmpc.solvers as solvers
+from rkmpc.bench import ExperimentConfig, run_experiment
 from rkmpc.envs import BLOCK_ROWS, EnvSpec, make_env, rollout_batch
 from rkmpc.policy import (
     SIGMA_FLOOR,
@@ -796,6 +797,24 @@ class TestSolve:
             with pytest.raises(TypeError, match=f"prev must be a SolverState .*, got {type(prev).__name__}"):
                 solve(env, env.initial_state, config, prev=prev, step=1)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: SolverConfig(weights={"backend": "mppi"}), "weights must be a WeightConfig, got dict"),
+            (
+                lambda: run_experiment(ExperimentConfig(env="quadratic_bowl", solver={"n_candidates": 4}, episode_steps=1)),
+                "solver must be a SolverConfig, got dict",
+            ),
+            (lambda: solve("pendulum_swingup", np.zeros(2), SolverConfig()), r"env must be an EnvSpec .*, got str"),
+            (lambda: solve(make_env("quadratic_bowl"), np.zeros(2), None), "config must be a SolverConfig, got NoneType"),
+        ],
+        ids=["weights_dict", "experiment_solver_dict", "env_name", "config_none"],
+    )
+    def test_argument_of_the_wrong_type_rejected_naming_it(self, call, match):
+        # each raised AttributeError from deep inside, such as "'dict' object has no attribute 'quantile'"
+        with pytest.raises(TypeError, match=match):
+            call()
+
     @pytest.mark.parametrize("name", ["mu", "sigma", "tilde_mu", "tilde_sigma"])
     def test_every_stored_array_of_prev_checked(self, name):
         env = make_env("quadratic_bowl")
@@ -999,6 +1018,7 @@ class TestSolve:
             (SolverConfig, {"gamma": 1e308}, r"5 \* gamma must be finite"),
             (SolverConfig, {"kappa": math.nan}, "gamma and kappa must be >= 0"),
             (WeightConfig, {"temperature": math.nan}, "temperature must be > 0"),
+            (WeightConfig, {"temperature": math.inf}, "temperature must be > 0 and finite, got temperature=inf"),
             (SolverConfig, {"n_candidates": 1}, "n_candidates >= 2"),
             (SolverConfig, {"n_candidates": 16, "n_oversample": 15}, "n_oversample must be >= n_candidates"),
             (SolverConfig, {"gamma": -0.1}, "gamma and kappa must be >= 0"),
@@ -1013,7 +1033,7 @@ class TestSolve:
             (SolverConfig, {"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
         ],
         ids=[
-            "gamma_nan", "gamma_inf", "gamma_overflows_the_step", "kappa_nan", "temperature_nan",
+            "gamma_nan", "gamma_inf", "gamma_overflows_the_step", "kappa_nan", "temperature_nan", "temperature_inf",
             "one_candidate", "oversample_below_n",
             "gamma_negative", "kappa_negative", "eta_negative", "eta_above_one", "horizon_zero", "iterations_zero",
             "candidates_float", "oversample_float", "horizon_float", "iterations_float",
