@@ -120,16 +120,18 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
 
     J = terminal(x_{t+H+1}) + sum_tau [ stage(x, u) + penalty * max(0, c(x, u)) ].
     dynamics runs once per step; stage_cost and constraint run once per block
-    of steps over all of its rows, and J is summed step by step.  States are
-    kept as (state_dim, steps + 1, N) and actions as (A, H, N), so the
-    (rows, dim) arrays the callables get are views whose every column is
-    contiguous: a column slice such as x[:, :2] runs one inner loop over all
-    rows instead of one of length 2 per row.  Outputs made with
-    np.empty_like(x) keep that layout; see EnvSpec for the one case (row sums
-    over 8 or more columns) whose bits follow the layout.  A u_squashed other
-    than (N, env.action_dim, H) or an x_t other than (env.state_dim,) raises
-    ValueError, and so does a callable's output of the wrong shape.  A
-    diverged candidate (non-finite cost or state) is marked J = +inf; what it
+    of steps over all of its rows, and J is summed step by step.  An env with
+    the default constraint skips the constraint call and the penalty sums,
+    which would add exactly 0.0: J starts at +0.0, so it is never -0.0, and
+    J + 0.0 has the bits of J.  States are kept as (state_dim, steps + 1, N)
+    and actions as (A, H, N), so the (rows, dim) arrays the callables get are
+    views whose every column is contiguous: a column slice such as x[:, :2]
+    runs one inner loop over all rows instead of one of length 2 per row.
+    Outputs made with np.empty_like(x) keep that layout; see EnvSpec for the
+    one case (row sums over 8 or more columns) whose bits follow the layout.
+    A u_squashed other than (N, env.action_dim, H) or an x_t other than
+    (env.state_dim,) raises ValueError, and so does a callable's output of
+    the wrong shape.  A diverged candidate (non-finite cost or state) is marked J = +inf; what it
     costs is decided by the solver, so J never depends on the batch.
     """
     if u_squashed.ndim != 3 or u_squashed.shape[1] != env.action_dim:
@@ -155,11 +157,14 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
         x_rows = x_at[:steps].reshape(rows, env.state_dim)
         u_rows = u_at[start : start + steps].reshape(rows, a)
         stage = _checked("stage_cost", env.stage_cost(x_rows, u_rows), (rows,)).reshape(steps, n)
-        violation = _checked("constraint", env.constraint(x_rows, u_rows), (rows,))
-        penalty = (env.constraint_penalty * np.maximum(0.0, violation)).reshape(steps, n)
+        penalty = None
+        if env.constraint is not _no_constraint:  # the default's penalty is 0.0 (see above)
+            violation = _checked("constraint", env.constraint(x_rows, u_rows), (rows,))
+            penalty = (env.constraint_penalty * np.maximum(0.0, violation)).reshape(steps, n)
         for k in range(steps):
             J += stage[k]
-            J += penalty[k]
+            if penalty is not None:
+                J += penalty[k]
     x_end = x_at[steps]
     J += _checked("terminal_cost", env.terminal_cost(x_end), (n,))
     J[~np.isfinite(J) | ~np.isfinite(x_end).all(axis=1)] = np.inf

@@ -10,6 +10,7 @@ actions, which keeps the Gaussian algebra exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +52,22 @@ class PolicyParams:
         object.__setattr__(self, "sigma", sigma)
 
 
+class Gaussian(NamedTuple):
+    """(mu, sigma) of one diagonal Gaussian as the arrays themselves: no
+    checks and no copies, for arrays a caller already holds valid, such as
+    views of one side of a `SolverState`."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
 def standard_prior(action_dim: int, horizon: int) -> PolicyParams:
     """Zero-mean, unit-scale prior in pre-squash space."""
     shape = (action_dim, horizon)
     return PolicyParams(np.zeros(shape), np.ones(shape))
 
 
-def sample_batch(params: PolicyParams, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_batch(params: PolicyParams | Gaussian, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` pre-squash action sequences, shape (count, A, H).
 
     The standard normals that `rng.standard_normal(size)` returns are
@@ -78,8 +88,16 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     tanh-based affine map: odd-symmetric about the bound midpoint, so the
     (0, I) prior is centered on the middle of the action range.  Bounds are
     per-action-dim arrays of shape (A,), broadcast over the horizon axis.
-    Once tanh saturates (|u| > about 19), mid + half * tanh(u) can round one
-    ulp past a bound, so the result is clamped; values strictly inside keep their bits.
+    With mid = 0.5 * (low + high) and half = 0.5 * (high - low), the result
+    has the bits of np.clip(mid + half * tanh(u), low, high), but for the
+    sign of a zero on a bound of the other sign (numpy's clip loops disagree
+    on it).  Rounding is monotone, so mid + half * tanh(u) stays within the
+    rounded mid - half and mid + half.  Only where one of those rounds past
+    its bound, as it can for asymmetric bounds, can a saturated tanh (|u| >
+    about 19) land one ulp outside, and only then does the clamp run: an
+    O(A) test on the bounds decides.  Every built-in env's bounds are
+    symmetric and skip it.  A non-finite u raises
+    ValueError("squash input must be finite").
 
     The result is a new array with the shape of `u_raw`, never a view of it.
     A batch (..., A, H) is computed in (A, H, ...) memory and returned as a
@@ -91,8 +109,17 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     bounds_shape = (-1,) + (1,) * (u_raw.ndim - 1)  # (A, 1, ...): over (A, H, ...) memory
     low = np.asarray(low, dtype=float).reshape(bounds_shape)
     high = np.asarray(high, dtype=float).reshape(bounds_shape)
+    mid = 0.5 * (low + high)
+    half = 0.5 * (high - low)
+    # low <= mid - half < mid + half <= high in every dimension implies low < high, so the
+    # bound check runs only where this fails; on Python floats, cheaper than ufuncs for small A
+    inside = all(
+        lo <= a < b <= hi
+        for lo, a, b, hi in zip(low.ravel().tolist(), (mid - half).ravel().tolist(),
+                                (mid + half).ravel().tolist(), high.ravel().tolist())
+    )
     # count_nonzero, not .any() / .all(): the same tests at less cost on small batches
-    if np.count_nonzero(np.greater_equal(low, high)):
+    if not inside and np.count_nonzero(np.greater_equal(low, high)):
         raise ValueError("action bounds require low < high per dimension")
     out = np.empty(u_raw.shape[-2:] + u_raw.shape[:-2])
     squashed = out.transpose(tuple(range(2, out.ndim)) + (0, 1))  # the result, shaped as u_raw
@@ -100,17 +127,15 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     finite = np.isfinite(out)
     if np.count_nonzero(finite) != finite.size:
         raise ValueError("squash input must be finite")
-    mid = 0.5 * (low + high)
-    half = 0.5 * (high - low)
     np.tanh(out, out=out)  # on contiguous memory: numpy may take another tanh loop for strided input
     out *= half
     out += mid
-    np.maximum(out, low, out=out)
-    np.minimum(out, high, out=out)
+    if not inside:
+        np.clip(out, low, high, out=out)
     return squashed
 
 
-def log_density(params: PolicyParams, u_raw: np.ndarray) -> np.ndarray:
+def log_density(params: PolicyParams | Gaussian, u_raw: np.ndarray) -> np.ndarray:
     """Joint Gaussian log-density over all (A, H) entries, in pre-squash space.
 
     Accepts a single sequence (A, H) or a batch (..., A, H); returns a scalar

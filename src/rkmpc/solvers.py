@@ -44,7 +44,9 @@ import numpy as np
 
 from .envs import EnvSpec, _check_integers, rollout_batch
 from .policy import (
+    LOG_2PI,
     SIGMA_FLOOR,
+    Gaussian,
     PolicyParams,
     _check_values,
     log_density,
@@ -258,17 +260,26 @@ def reject_update(
 
 
 def selection_log_scores(
-    theta_plus: PolicyParams,
-    theta_minus: PolicyParams,
+    theta_plus: PolicyParams | Gaussian,
+    theta_minus: PolicyParams | Gaussian,
     u_batch: np.ndarray,
     kappa: float,
 ) -> np.ndarray:
-    """Unnormalized log score of the complementary distribution per candidate.
+    """Unnormalized log score of the complementary distribution per candidate
+    of a batch (N, A, H).
 
     score(U) = 1 / (pi-(U) + kappa * pi+(mu-)), evaluated in the log domain;
     the pi+(mu-) anchor keeps selection sane when the two policies overlap.
+    log pi-(U) is taken as sum(-log(2 pi) / 2 - log sigma-) - sum(z * z) / 2
+    with z = (U - mu-) / sigma-: three passes over the batch, where
+    `log_density` makes six.  Its last bits may differ from `log_density`'s.
     """
-    log_pm = log_density(theta_minus, u_batch)
+    z = u_batch - theta_minus.mu
+    z /= theta_minus.sigma
+    z = z.reshape(z.shape[0], -1)
+    log_pm = np.einsum("ij,ij->i", z, z)
+    log_pm *= -0.5
+    log_pm += float((-0.5 * LOG_2PI - np.log(theta_minus.sigma)).sum())
     if kappa == 0.0:
         return -log_pm
     anchor = math.log(kappa) + float(log_density(theta_plus, theta_minus.mu))
@@ -276,8 +287,8 @@ def selection_log_scores(
 
 
 def compose_and_sample(
-    theta_plus: PolicyParams,
-    theta_minus: PolicyParams,
+    theta_plus: PolicyParams | Gaussian,
+    theta_minus: PolicyParams | Gaussian,
     n_tilde: int,
     n: int,
     kappa: float,
@@ -287,6 +298,9 @@ def compose_and_sample(
     without replacement with probability proportional to the complementary
     distribution (Gumbel perturbed-key top-n, so no normalization constant
     is needed and the cost is one pass over n_tilde).
+
+    Either policy may be a `PolicyParams` or a `Gaussian` of views, read
+    unchecked (`solve` passes views of its state's sides; see there).
     """
     if n_tilde < n:
         raise ValueError("n_tilde must be >= n")
@@ -518,6 +532,11 @@ def solve(
     its batch's worst finite cost (0 if none) plus NONFINITE_PENALTY, so it
     always ranks below every finite candidate.  The state returned has theta+-
     clipped to PREV_CEILING, so it is always accepted as the next prev.
+    The samplers read theta+- as `Gaussian` views of the state, not as
+    validated `PolicyParams` copies: the prior is the one `PolicyParams` a
+    solve builds.  An update that left theta+ non-finite surfaces as squash's
+    ValueError("squash input must be finite"); a non-finite theta- fails that
+    side's next update with ValueError("mirror point entries must be finite").
     """
     if not isinstance(env, EnvSpec):  # such as an env's name: make_env builds its EnvSpec
         raise TypeError(f"env must be an EnvSpec (see make_env), got {type(env).__name__}")
@@ -557,13 +576,12 @@ def solve(
                 rng = _iteration_rng(seed, step, i)
             else:  # draw i + 1 ahead only if the stop test above is expected to let it start
                 rng = prefetch.draw(i, i < config.max_iterations and (t0 - start) + 2.0 * mean_t <= config.deadline)
+            plus = Gaussian(state.mu[0], state.sigma[0])  # views, not validated PolicyParams copies
             if two_sided:
-                u_batch = compose_and_sample(
-                    state.theta_plus, state.theta_minus,
-                    config.n_oversample, config.n_candidates, config.kappa, rng,
-                )
+                minus = Gaussian(state.mu[1], state.sigma[1])
+                u_batch = compose_and_sample(plus, minus, config.n_oversample, config.n_candidates, config.kappa, rng)
             else:
-                u_batch = sample_batch(state.theta_plus, config.n_candidates, rng)
+                u_batch = sample_batch(plus, config.n_candidates, rng)
             J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
 
             finite = np.isfinite(J)

@@ -222,6 +222,20 @@ class TestBlockedRollout:
         J = rollout_batch(env, env.initial_state, u)
         np.testing.assert_allclose(J, per_step_rollout(env, env.initial_state, u), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("name, n, horizon", [("pendulum_swingup", 32, 12), ("point_reacher", 1024, 50)])
+    def test_default_constraint_gives_the_bits_of_an_explicit_one(self, name, n, horizon):
+        # the default skips its constraint call and penalty sums; the same
+        # constraint passed explicitly runs them.  Candidate 0 diverges.
+        base = make_env(name)
+        env = dataclasses.replace(base, stage_cost=lambda x, u: np.where(u[:, 0] == 0.25, np.inf, base.stage_cost(x, u)))
+        explicit = dataclasses.replace(env, constraint=lambda x, u: np.full(x.shape[0], -1.0))
+        rng = np.random.default_rng(n)
+        u = rng.uniform(env.action_low[:, None], env.action_high[:, None], (n, env.action_dim, horizon))
+        u[0, 0] = 0.25
+        J = rollout_batch(env, env.initial_state, u)
+        assert J[0] == np.inf and np.isfinite(J[1:]).all()
+        assert J.tobytes() == rollout_batch(explicit, env.initial_state, u).tobytes()
+
     @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (300, 37, 3), (1024, 50, 13)])
     def test_call_counts(self, n, horizon, blocks):
         assert blocks == -(-horizon // max(1, BLOCK_ROWS // n))

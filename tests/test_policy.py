@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rkmpc.envs import REGISTRY, make_env
 from rkmpc.policy import (
     SIGMA_FLOOR,
     PolicyParams,
@@ -104,6 +105,17 @@ class TestSquash:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             squash(np.zeros((1, 1)), [1.0], [1.0])
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_builtin_bounds_skip_the_clamp(self, monkeypatch, name):
+        # their mid +- half rounds onto the bounds, so the clamp could change no value
+        env = make_env(name)
+        clipped = []
+        monkeypatch.setattr(np, "clip", lambda *args, **kwargs: clipped.append(1))
+        u = np.array([-50.0, 50.0])[:, None, None] * np.ones((2, env.action_dim, 4))
+        out = squash(u, env.action_low, env.action_high)
+        assert not clipped
+        assert (out[0] == env.action_low[:, None]).all() and (out[1] == env.action_high[:, None]).all()
 
 
 class TestLogDensity:

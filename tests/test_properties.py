@@ -169,30 +169,35 @@ def test_value_rule_of_every_policy(mu, sigma, stacked):
             _check_values(array(mu), array(sigma), "prev.")
 
 
-BOUNDS = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(lambda pair: pair[0] != pair[1])
+# Bounds of everyday size and up to 1e300, where high - low cannot overflow.
+BOUNDS = st.tuples(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)),
+                   st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))).filter(lambda pair: pair[0] != pair[1])
 # tanh(u) rounds to +-1 from |u| of about 19 on: mid + half * tanh(u) then lands
-# on a bound or one ulp past it
-SATURATED = st.one_of(st.floats(19.0, 1e3), st.floats(-1e3, -19.0))
+# on a rounded mid +- half, one ulp past a bound where that rounds outside
+SATURATED = st.one_of(st.floats(19.0, 50.0), st.floats(-50.0, -19.0))
 
 
 @settings(deadline=None)
 @given(
     bounds=st.lists(BOUNDS, min_size=1, max_size=3),
-    u=st.lists(st.one_of(SATURATED, st.floats(-40.0, 40.0)), min_size=1, max_size=8),
+    u=st.lists(st.one_of(SATURATED, st.floats(-50.0, 50.0)), min_size=1, max_size=8),
 )
-@example(bounds=[(-1.7, 2.3), (-2.3, 1.7)], u=[-40.0, 40.0])
+# mid - half rounds below -1.7, then mid + half above 1.7; one dimension that
+# needs the clamp beside one that does not; a value of +0.0 on a bound of -0.0
+@example(bounds=[(-1.7, 2.3)], u=[-40.0, 40.0])
+@example(bounds=[(-2.3, 1.7)], u=[-40.0, 40.0])
+@example(bounds=[(-1.7, 2.3), (-2.0, 2.0)], u=[-50.0, 0.0, 50.0])
+@example(bounds=[(-0.0, 1.0), (-1.0, -0.0)], u=[-50.0, 50.0])
 def test_squash_lands_in_the_closed_bounds(bounds, u):
     low, high = (np.array([sorted(pair)[k] for pair in bounds]) for k in (0, 1))
     u_raw = np.tile(u, (len(bounds), 1))
     out = squash(u_raw, low, high)
     low, high = low[:, None], high[:, None]
     assert ((low <= out) & (out <= high)).all()
-    # only what the affine map put outside is moved: values strictly inside keep
-    # their bits, and one on a bound stays equal to it (a zero may take the bound's sign)
+    # clamped or not, the bits of the clipped affine map; + 0.0 turns -0.0 into
+    # +0.0 and keeps every other value, as numpy's clip loops differ on a zero's sign
     plain = 0.5 * (low + high) + 0.5 * (high - low) * np.tanh(u_raw)
-    inside = (low < plain) & (plain < high)
-    assert same_bits(out[inside], plain[inside])
-    assert np.array_equal(out, np.clip(plain, low, high))
+    assert same_bits(out + 0.0, np.clip(plain, low, high) + 0.0)
 
 
 CEILING_MEANS = st.one_of(MEANS, st.floats(-PREV_CEILING, PREV_CEILING), st.sampled_from([-PREV_CEILING, PREV_CEILING]))

@@ -1,0 +1,115 @@
+"""Microseconds per solver iteration: this checkout's `src` against a base revision.
+
+Run from anywhere in the repository:
+
+    python tools/iter_us.py --base HEAD~1 --env pendulum_swingup --variant accel \
+        --n 32 --n-oversample 128 --horizon 12 --pairs 10
+
+Both versions of `rkmpc` are loaded into one process, the working tree's
+`src` as the head and the committed tree of `--base` (exported with
+`git archive` into a temporary directory) as the base.  Each pair runs one
+closed-loop episode of `--steps` warm-started solves of exactly
+`--iterations` iterations on each side, on the same seed, and alternates
+which side goes first.  A side's figure is the episode's wall time divided by
+its iterations.  The report gives each side's median and quartiles, the ratio
+of the medians, the pairs the head won (ties count for neither), and whether
+both sides chose the same actions bit for bit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(name: str, src: Path):
+    """Import the `rkmpc` package under `src` as the module `name`."""
+    package = src / "rkmpc"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """Write the `src` tree of `rev` under `dest` and return its path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def episode(lib, args, seed: int) -> tuple[float, bytes]:
+    """(us per iteration, the episode's actions as bytes) of one closed-loop episode."""
+    env = lib.make_env(args.env)
+    config = lib.SolverConfig(
+        n_candidates=args.n, n_oversample=args.n_oversample, horizon=args.horizon, max_iterations=args.iterations,
+    )
+    x, state, actions, iterations = env.initial_state, None, [], 0
+    start = time.perf_counter()
+    for step in range(args.steps):
+        result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
+        x = env.dynamics(x[None, :], result.u[None, :])[0]
+        actions.append(result.u)
+        iterations += result.iterations
+    return (time.perf_counter() - start) * 1e6 / iterations, np.concatenate(actions).tobytes()
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return float(q1), float(med), float(q3)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--env", default="pendulum_swingup")
+    parser.add_argument("--variant", default="accel")
+    parser.add_argument("--n", type=int, default=32, help="candidates N")
+    parser.add_argument("--n-oversample", type=int, default=128, help="oversampled candidates for reject and accel")
+    parser.add_argument("--horizon", type=int, default=12)
+    parser.add_argument("--iterations", type=int, default=64, help="iterations per solve")
+    parser.add_argument("--steps", type=int, default=10, help="warm-started solves per episode")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="iter_us_") as tmp:
+        sides = {"base": load("rkmpc_base", export_src(args.base, Path(tmp))), "head": load("rkmpc_head", ROOT / "src")}
+        for lib in sides.values():  # lazy set-up, outside the timed pairs
+            episode(lib, args, seed=args.pairs)
+        us = {name: [] for name in sides}
+        same = True
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            actions = {}
+            for name in order:
+                t, actions[name] = episode(sides[name], args, seed=pair)
+                us[name].append(t)
+            same = same and actions["base"] == actions["head"]
+
+    print(f"iter_us: {args.env} {args.variant} N={args.n} n_oversample={args.n_oversample} H={args.horizon}, "
+          f"{args.iterations} iterations x {args.steps} steps, {args.pairs} pairs")
+    for name, label in (("base", f"base {args.base}"), ("head", "head (working tree)")):
+        q1, med, q3 = quartiles(us[name])
+        print(f"{label}: median {med:.1f} us/iter [Q1 {q1:.1f}, Q3 {q3:.1f}], IQR {q3 - q1:.1f}")
+    won = sum(h < b for h, b in zip(us["head"], us["base"]))
+    ratio = quartiles(us["head"])[1] / quartiles(us["base"])[1]
+    print(f"head/base {ratio:.3f}; head faster in {won} of {args.pairs} pairs; "
+          f"actions {'identical' if same else 'DIFFER'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
