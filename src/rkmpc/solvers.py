@@ -23,15 +23,22 @@ reject and accel, n_candidates * A * H for forward and reverse) draws
 iteration i + 1's standard normals, and for reject and accel its Gumbel keys,
 on one worker thread while the calling thread runs iteration i
 (`rkmpc.prefetch`), on any host: the rule reads only the solve's own
-arguments.  The solve asks for each draw on one queue and takes it back from
-another.  The worker only fills one of two buffers the solve owns, from
-iteration i + 1's own Generator in the serial order, so results are
-bit-identical with or without the prefetch.  Sampling, rollouts, env
-callables, weights and updates all stay on the calling thread.  Under a
-finite deadline a draw is made ahead only for an iteration the deadline check
-is expected to let start.  The worker is joined before `solve` returns or raises, after any
+arguments.  During its last iteration the worker draws the next control
+step's iteration 1 instead, from (seed, step + 1, 1)'s stream; the returned
+`SolverState` carries that draw, and the next solve uses it for its own
+iteration 1 if it asks for exactly that draw (the same seed, step + 1 and
+drawn shape, and keys for reject and accel or none for forward and reverse),
+once.  The solve asks for each draw on one queue and takes it back from
+another.  The worker only fills one of two buffers the solve owns, from the
+draw's own Generator in the serial order, so results are bit-identical with
+or without the prefetch and the carry.  Sampling, rollouts, env callables,
+weights and updates all stay on the calling thread.  Under a finite deadline
+a draw is made ahead only for an iteration the deadline check is expected to
+let start, and the next step's only when the same check passes at the last
+iteration.  The worker is joined before `solve` returns or raises, after any
 draw in flight, and `wall_time` counts that wait; an exception raised in a
-draw reaches the caller of `solve` unchanged.
+draw of this step reaches the caller of `solve` unchanged, while one raised
+in the next step's draw is dropped, and that step draws iteration 1 itself.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,6 +65,9 @@ from .policy import (
     standard_prior,
 )
 from .weights import WeightConfig, forward_weights, partition_clusters, signed_log_weights
+
+if TYPE_CHECKING:
+    from .prefetch import Carried
 
 VARIANTS = ("forward", "reverse", "reject", "accel")
 # Added to a batch's worst finite cost to price a diverged (J = +inf) candidate;
@@ -120,7 +131,12 @@ class SolverConfig:
 class SolverState:
     """theta+- in (mu, sigma) and the momentum points theta~+- in (tilde_mu, tilde_sigma),
     each (2, action_dim, horizon) with the sides in the order (+, -).  Updates never
-    write into these; the per-side properties return validated, frozen copies."""
+    write into these; the per-side properties return validated, frozen copies.
+
+    `carry` is the next step's iteration-1 draw, made by a prefetching `solve`
+    during its last iteration (see the module docstring), or None.  A solve
+    takes it at most once, and only for the draw it was made for; equality and
+    repr ignore it, and no state `solve` builds from a `prev` copies it."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -129,6 +145,7 @@ class SolverState:
     a_i: float = 0.0
     A_i: float = 0.0
     sigma_max_running: float = 0.0
+    carry: Carried | None = field(default=None, compare=False, repr=False)
 
     theta_plus = property(lambda self: PolicyParams(self.mu[0], self.sigma[0]))
     theta_minus = property(lambda self: PolicyParams(self.mu[1], self.sigma[1]))
@@ -527,10 +544,18 @@ def solve(
     the wall-clock deadline.  mean_t is the mean of the timed iterations and
     infinite until one is timed: the first iteration always runs, and a
     prefetched draw of iteration i + 1 is made only if the time elapsed plus
-    2 * mean_t fits (under a finite deadline, never for iteration 2).  A
-    diverged candidate (J = +inf) is counted in nonfinite_candidates and costs
-    its batch's worst finite cost (0 if none) plus NONFINITE_PENALTY, so it
-    always ranks below every finite candidate.  The state returned has theta+-
+    2 * mean_t fits (under a finite deadline, never for iteration 2).  At
+    max_iterations, where that test passes, a prefetching solve draws the
+    next step's iteration 1 instead and returns it in the state's `carry`.
+    A solve from that state as prev, at the same seed, step + 1 and drawn
+    shape, with Gumbel keys (reject, accel) or without (forward, reverse) as
+    it was drawn, takes it as its own iteration 1's draw; only the first such
+    solve does, and any other draws iteration 1 itself, to the same bits.
+    The worker is joined before solve returns.  A solve stopped by the
+    deadline, or one that raises, carries nothing.  A diverged candidate
+    (J = +inf) is counted in nonfinite_candidates and costs its batch's worst
+    finite cost (0 if none) plus NONFINITE_PENALTY, so it always ranks below
+    every finite candidate.  The state returned has theta+-
     clipped to PREV_CEILING, so it is always accepted as the next prev.
     The samplers read theta+- as `Gaussian` views of the state, not as
     validated `PolicyParams` copies: the prior is the one `PolicyParams` a
@@ -552,12 +577,13 @@ def solve(
         raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")
     state = _initial_state(config, env.action_dim, prev, variant)
     two_sided = variant in ("reject", "accel")
-    prefetch = None
+    prefetch = carried = None
     if _prefetches(variant, config, env.action_dim):
-        from .prefetch import Prefetch  # loaded only where used; see its module docstring
+        from .prefetch import Carried, Prefetch  # loaded only where used; see its module docstring
 
         shape = (_drawn_per_iteration(variant, config), env.action_dim, config.horizon)
-        prefetch = Prefetch(lambda k: _iteration_rng(seed, step, k), shape, keys=two_sided)
+        first = None if prev is None or prev.carry is None else prev.carry.take((seed, step, shape, two_sided))
+        prefetch = Prefetch(lambda s, k: _iteration_rng(seed, s, k), step, shape, keys=two_sided, first=first)
 
     start = time.monotonic()
     iter_times: list[float] = []
@@ -574,8 +600,10 @@ def solve(
                 break
             if prefetch is None:
                 rng = _iteration_rng(seed, step, i)
-            else:  # draw i + 1 ahead only if the stop test above is expected to let it start
-                rng = prefetch.draw(i, i < config.max_iterations and (t0 - start) + 2.0 * mean_t <= config.deadline)
+            else:  # the next draw (after the last iteration, step + 1's first) only if the stop
+                # test above is expected to let one more iteration start
+                ahead = (step, i + 1) if i < config.max_iterations else (step + 1, 1)
+                rng = prefetch.draw(i, ahead if (t0 - start) + 2.0 * mean_t <= config.deadline else None)
             plus = Gaussian(state.mu[0], state.sigma[0])  # views, not validated PolicyParams copies
             if two_sided:
                 minus = Gaussian(state.mu[1], state.sigma[1])
@@ -597,7 +625,7 @@ def solve(
             mean_t = sum(iter_times) / len(iter_times)
     finally:
         if prefetch is not None:
-            prefetch.close()
+            carried = prefetch.close()
 
     u_first = squash(state.mu[0], env.action_low, env.action_high)[:, 0]
     result = ControlResult(
@@ -613,4 +641,5 @@ def solve(
     )
     # an update may step past PREV_CEILING: clipped to it, every returned state is a valid prev
     mu, sigma = np.clip(state.mu, -PREV_CEILING, PREV_CEILING), np.minimum(state.sigma, PREV_CEILING)
-    return result, replace(state, mu=mu, sigma=sigma)
+    carry = None if carried is None else Carried((seed, step + 1, shape, two_sided), carried)
+    return result, replace(state, mu=mu, sigma=sigma, carry=carry)

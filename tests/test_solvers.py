@@ -1090,12 +1090,12 @@ def engage_prefetch(monkeypatch):
 
 @pytest.fixture
 def draws_made(monkeypatch):
-    """(thread name, iteration) of every iteration Generator made, in order."""
+    """(thread name, step, iteration) of every iteration Generator made, in order."""
     made = []
     original = solvers._iteration_rng
 
     def recording(seed, step, iteration):
-        made.append((threading.current_thread().name, iteration))
+        made.append((threading.current_thread().name, step, iteration))
         return original(seed, step, iteration)
 
     monkeypatch.setattr(solvers, "_iteration_rng", recording)
@@ -1178,7 +1178,7 @@ class TestPrefetch:
         env = make_env("pendulum_swingup")
         config = SolverConfig(n_candidates=32, n_oversample=128, horizon=12, max_iterations=3)
         solve(env, env.initial_state, config, variant=variant)
-        assert draws_made == [("MainThread", k) for k in (1, 2, 3)]
+        assert draws_made == [("MainThread", 0, k) for k in (1, 2, 3)]
 
     def test_engages_whatever_cpus_the_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1225,12 +1225,15 @@ class TestPrefetch:
         env = make_env("point_reacher")
         config = quick_config(horizon=6, max_iterations=5, alpha=0.3, eta=0.5)
         serial = episode(env, config, variant)
-        assert {name for name, _ in draws_made} == {"MainThread"}
+        assert {name for name, _, _ in draws_made} == {"MainThread"}
         engage_prefetch(monkeypatch)
         draws_made.clear()
         assert_same_episode(episode(env, config, variant), serial)
-        on_worker = [k for name, k in draws_made if name == "rkmpc-prefetch"]
-        assert on_worker == [2, 3, 4, 5] * 4  # per step: iteration 1 on the calling thread, 2..5 on the worker
+        # step 0's iteration 1 on the calling thread; the worker draws each step's
+        # iterations 2..5 and then, during iteration 5, the next step's iteration 1
+        assert [(s, k) for name, s, k in draws_made if name == "MainThread"] == [(0, 1)]
+        on_worker = [(s, k) for name, s, k in draws_made if name == "rkmpc-prefetch"]
+        assert on_worker == [key for s in range(4) for key in ((s, 2), (s, 3), (s, 4), (s, 5), (s + 1, 1))]
 
     def test_concurrent_solves_keep_their_bits(self, monkeypatch):
         # three episodes at once, each solve with its own worker: six threads
@@ -1266,7 +1269,7 @@ class TestPrefetch:
         before = threading.enumerate()
         call_within(30, solve, env, env.initial_state, config, variant=variant)
         assert threading.enumerate() == before
-        assert ("rkmpc-prefetch", 6) in draws_made
+        assert ("rkmpc-prefetch", 0, 6) in draws_made
 
         calls = []
 
@@ -1280,7 +1283,23 @@ class TestPrefetch:
         with pytest.raises(RuntimeError, match="rollout failed"):
             call_within(30, solve, replace(env, dynamics=dynamics), env.initial_state, config, variant=variant)
         assert threading.enumerate() == before
-        assert draws_made[-1] == ("rkmpc-prefetch", 4)  # requested before iteration 3 rolled out
+        assert draws_made[-1] == ("rkmpc-prefetch", 0, 4)  # requested before iteration 3 rolled out
+
+        # mid-episode: step 1 takes step 0's carry and fails in its last
+        # iteration's rollout, after the worker drew step 2's iteration 1
+        _, prev = solve(env, env.initial_state, config, variant=variant, seed=9)
+        calls.clear()
+        draws_made.clear()
+        with pytest.raises(RuntimeError, match="rollout failed"):
+            call_within(30, solve, replace(env, dynamics=dynamics), env.initial_state,
+                        replace(config, max_iterations=3), variant=variant, prev=prev, seed=9, step=1)
+        assert threading.enumerate() == before
+        assert draws_made == [("rkmpc-prefetch", 1, 2), ("rkmpc-prefetch", 1, 3), ("rkmpc-prefetch", 2, 1)]
+        # the failed solve took the carry: solving step 1 again draws iteration 1 itself
+        draws_made.clear()
+        solve(env, env.initial_state, config, variant=variant, prev=prev, seed=9, step=1)
+        assert ("MainThread", 1, 1) in draws_made
+        assert threading.enumerate() == before
 
     @pytest.mark.parametrize("variant", ["reject", "accel"])
     def test_exception_in_a_draw_reaches_the_caller(self, variant, monkeypatch):
@@ -1305,10 +1324,118 @@ class TestPrefetch:
     def test_deadline_contract_with_sleeping_rollouts(self, deadline, monkeypatch, draws_made):
         engage_prefetch(monkeypatch)
         check_deadline_contract(deadline)
-        on_worker = [k for name, k in draws_made if name == "rkmpc-prefetch"]
+        on_worker = [k for name, _, k in draws_made if name == "rkmpc-prefetch"]
         # the first iteration gives the deadline check its first estimate, so
         # iteration 2 is never drawn ahead under a finite deadline
         if deadline < 0.05:
             assert on_worker == []
         else:
             assert on_worker[0] == 3
+
+    @staticmethod
+    def step_pair(monkeypatch, variant, config):
+        """(env, serial, prev) on point_reacher: step 1's (result, state) at seed 9,
+        solved serially from step 0's serial state, and step 0's state solved
+        with the prefetch engaged, which carries step 1's first draw."""
+        env = make_env("point_reacher")
+        _, serial_prev = solve(env, env.initial_state, config, variant=variant, seed=9)
+        serial = solve(env, env.initial_state, config, variant=variant, prev=serial_prev, seed=9, step=1)
+        engage_prefetch(monkeypatch)
+        _, prev = solve(env, env.initial_state, config, variant=variant, seed=9)
+        assert prev.carry is not None
+        return env, serial, prev
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_same_prev_solved_twice_gives_the_same_bits(self, variant, monkeypatch, draws_made):
+        config = quick_config(horizon=6, max_iterations=3)
+        env, serial, prev = self.step_pair(monkeypatch, variant, config)
+        for drawn_on in ([], ["MainThread"]):  # the first solve takes the carry, the second draws iteration 1 itself
+            draws_made.clear()
+            got = solve(env, env.initial_state, config, variant=variant, prev=prev, seed=9, step=1)
+            assert_same_episode([got], [serial])
+            assert [name for name, s, k in draws_made if (s, k) == (1, 1)] == drawn_on
+
+    @pytest.mark.parametrize(
+        "seed, step, n_oversample, variant",
+        [(10, 1, 32, "reject"), (9, 2, 32, "reject"), (9, 1, 64, "reject"), (9, 1, 32, "forward")],
+        ids=["seed", "skipped-step", "shape", "variant"],
+    )
+    def test_prev_carrying_another_draw_draws_iteration_1_itself(
+        self, seed, step, n_oversample, variant, monkeypatch, draws_made
+    ):
+        # prev carries reject's draw for seed 9, step 1 at n_oversample = N: the
+        # shape forward draws too, but with keys where forward draws none
+        env, config = make_env("point_reacher"), quick_config(horizon=6, max_iterations=3, n_oversample=32)
+        asked = replace(config, n_oversample=n_oversample)
+        _, serial_prev = solve(env, env.initial_state, config, variant="reject", seed=9)
+        serial = solve(env, env.initial_state, asked, variant=variant, prev=serial_prev, seed=seed, step=step)
+        engage_prefetch(monkeypatch)
+        _, prev = solve(env, env.initial_state, config, variant="reject", seed=9)
+        draws_made.clear()
+        got = solve(env, env.initial_state, asked, variant=variant, prev=prev, seed=seed, step=step)
+        assert_same_episode([got], [serial])
+        assert ("MainThread", step, 1) in draws_made
+        assert prev.carry.take(prev.carry.key) is not None  # still there for the solve it was drawn for
+
+    def test_deadline_stopped_solve_carries_nothing(self, monkeypatch, draws_made):
+        engage_prefetch(monkeypatch)
+        env = sleeping_env(0.002)
+        config = quick_config(horizon=3, deadline=0.05, max_iterations=10**6)
+        result, state = solve(env, env.initial_state, config, variant="accel")
+        assert result.iterations < config.max_iterations and state.carry is None
+        # a solve that reaches max_iterations carries only if the look-ahead test
+        # passes there: never at deadline 0, where mean_t is still infinite
+        result, state = solve(env, env.initial_state, replace(config, deadline=0.0, max_iterations=1), variant="accel")
+        assert result.iterations == 1 and state.carry is None
+        assert {s for _, s, _ in draws_made} == {0}
+        result, state = solve(env, env.initial_state, replace(config, deadline=10.0, max_iterations=3), variant="accel")
+        assert result.iterations == 3 and state.carry is not None
+        assert draws_made[-1] == ("rkmpc-prefetch", 1, 1)
+
+    def test_threads_solving_from_one_prev_get_the_serial_bits(self, monkeypatch, draws_made):
+        # four solves from one prev at once, each with its own worker: eight
+        # threads on the machine's cores, switching every 10 us
+        config = quick_config(horizon=6, max_iterations=3)
+        env, serial, prev = self.step_pair(monkeypatch, "accel", config)
+        draws_made.clear()
+        barrier, got = threading.Barrier(4), [None] * 4
+
+        def run(j):
+            barrier.wait(timeout=30)
+            got[j] = solve(env, env.initial_state, config, variant="accel", prev=prev, seed=9, step=1)
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert_same_episode(got, [serial] * 4)
+        # one solve took the carried draw, the other three drew iteration 1 themselves
+        assert len([name for name, s, k in draws_made if (s, k) == (1, 1)]) == 3
+
+    def test_failed_carried_draw_is_dropped(self, monkeypatch, draws_made):
+        config = quick_config(horizon=6, max_iterations=3)
+        env, serial, _ = self.step_pair(monkeypatch, "reject", config)
+        recording = solvers._iteration_rng
+
+        def failing(seed, step, iteration):
+            if (step, iteration) == (1, 1) and threading.current_thread().name == "rkmpc-prefetch":
+                raise MemoryError("draw failed")
+            return recording(seed, step, iteration)
+
+        monkeypatch.setattr(solvers, "_iteration_rng", failing)
+        _, prev = solve(env, env.initial_state, config, variant="reject", seed=9)
+        assert prev.carry is None
+        assert_same_episode([solve(env, env.initial_state, config, variant="reject", prev=prev, seed=9, step=1)], [serial])
+
+    def test_state_equality_and_repr_ignore_the_carry(self, monkeypatch):
+        _, _, state = self.step_pair(monkeypatch, "reject", quick_config(horizon=6, max_iterations=2))
+        bare = replace(state, carry=None)
+        assert state == bare
+        assert repr(state) == repr(bare) and "carry" not in repr(state)

@@ -11,9 +11,12 @@ Both versions of `rkmpc` are loaded into one process, the working tree's
 closed-loop episode of `--steps` warm-started solves of exactly
 `--iterations` iterations on each side, on the same seed, and alternates
 which side goes first.  A side's figure is the episode's wall time divided by
-its iterations.  The report gives each side's median and quartiles, the ratio
-of the medians, the pairs the head won (ties count for neither), and whether
-both sides chose the same actions bit for bit.
+its iterations, and its minor page faults per iteration are the growth of
+`getrusage(RUSAGE_SELF).ru_minflt` over the episode (so they count the
+prefetch worker thread too) divided by its iterations.  The report gives each
+side's median and quartiles of time, its median faults, the ratio of the time
+medians, the pairs the head won (ties count for neither), and whether both
+sides chose the same actions bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import resource
 import subprocess
 import sys
 import tarfile
@@ -51,20 +55,27 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def episode(lib, args, seed: int) -> tuple[float, bytes]:
-    """(us per iteration, the episode's actions as bytes) of one closed-loop episode."""
-    env = lib.make_env(args.env)
-    config = lib.SolverConfig(
+def config_of(lib, args):
+    return lib.SolverConfig(
         n_candidates=args.n, n_oversample=args.n_oversample, horizon=args.horizon, max_iterations=args.iterations,
     )
+
+
+def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
+    """(us per iteration, minor faults per iteration, the episode's actions as
+    bytes) of one closed-loop episode."""
+    env, config = lib.make_env(args.env), config_of(lib, args)
     x, state, actions, iterations = env.initial_state, None, [], 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for step in range(args.steps):
         result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
         x = env.dynamics(x[None, :], result.u[None, :])[0]
         actions.append(result.u)
         iterations += result.iterations
-    return (time.perf_counter() - start) * 1e6 / iterations, np.concatenate(actions).tobytes()
+    us = (time.perf_counter() - start) * 1e6 / iterations
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return us, faults / iterations, np.concatenate(actions).tobytes()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -78,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--env", default="pendulum_swingup")
     parser.add_argument("--variant", default="accel")
     parser.add_argument("--n", type=int, default=32, help="candidates N")
-    parser.add_argument("--n-oversample", type=int, default=128, help="oversampled candidates for reject and accel")
+    parser.add_argument("--n-oversample", type=int, default=None,
+                        help="oversampled candidates for reject and accel (default: SolverConfig's 4 * N)")
     parser.add_argument("--horizon", type=int, default=12)
     parser.add_argument("--iterations", type=int, default=64, help="iterations per solve")
     parser.add_argument("--steps", type=int, default=10, help="warm-started solves per episode")
@@ -90,20 +102,24 @@ def main(argv: list[str] | None = None) -> int:
         for lib in sides.values():  # lazy set-up, outside the timed pairs
             episode(lib, args, seed=args.pairs)
         us = {name: [] for name in sides}
+        faults = {name: [] for name in sides}
         same = True
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             actions = {}
             for name in order:
-                t, actions[name] = episode(sides[name], args, seed=pair)
+                t, f, actions[name] = episode(sides[name], args, seed=pair)
                 us[name].append(t)
+                faults[name].append(f)
             same = same and actions["base"] == actions["head"]
+        n_oversample = config_of(sides["head"], args).n_oversample
 
-    print(f"iter_us: {args.env} {args.variant} N={args.n} n_oversample={args.n_oversample} H={args.horizon}, "
+    print(f"iter_us: {args.env} {args.variant} N={args.n} n_oversample={n_oversample} H={args.horizon}, "
           f"{args.iterations} iterations x {args.steps} steps, {args.pairs} pairs")
     for name, label in (("base", f"base {args.base}"), ("head", "head (working tree)")):
         q1, med, q3 = quartiles(us[name])
-        print(f"{label}: median {med:.1f} us/iter [Q1 {q1:.1f}, Q3 {q3:.1f}], IQR {q3 - q1:.1f}")
+        print(f"{label}: median {med:.1f} us/iter [Q1 {q1:.1f}, Q3 {q3:.1f}], IQR {q3 - q1:.1f}; "
+              f"median {quartiles(faults[name])[1]:.1f} minor faults/iter")
     won = sum(h < b for h, b in zip(us["head"], us["base"]))
     ratio = quartiles(us["head"])[1] / quartiles(us["base"])[1]
     print(f"head/base {ratio:.3f}; head faster in {won} of {args.pairs} pairs; "
