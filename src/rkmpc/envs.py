@@ -61,6 +61,11 @@ class EnvSpec:
     bits in either layout, but a row reduction over 8 or more columns, such
     as x.sum(axis=1), may differ in the last bit from the same call on a
     C-ordered array (numpy sums 8 or more contiguous values pairwise).
+    Outputs are real: a rollout takes an ndarray of bool, integer or float
+    dtype as it is, converts any other output (a list, a scalar) with
+    np.asarray(out, dtype=float), and raises ValueError naming env.<callable>
+    for a complex or other non-real dtype, or for an output of the wrong
+    shape.
     constraint defaults to none (-1 for every row, so no penalty).
     state_dim and action_dim are integers >= 1 (not bool), the four callables
     are callable, action_low and action_high are finite (action_dim,) arrays
@@ -110,8 +115,16 @@ BLOCK_ROWS = 4096
 
 
 def _checked(name: str, out, shape: tuple) -> np.ndarray:
-    if np.shape(out) != shape:
-        raise ValueError(f"env.{name} returned shape {np.shape(out)}, expected {shape}")
+    """`out` as an ndarray of `shape` with real entries (see EnvSpec), or ValueError naming env.`name`."""
+    if not isinstance(out, np.ndarray):
+        try:
+            out = np.asarray(out, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"env.{name} returned {type(out).__name__}, not real numbers: {e}") from None
+    elif out.dtype.kind not in "biuf":
+        raise ValueError(f"env.{name} returned dtype {out.dtype}, expected real numbers")
+    if out.shape != shape:
+        raise ValueError(f"env.{name} returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -131,7 +144,8 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     one case (row sums over 8 or more columns) whose bits follow the layout.
     A u_squashed other than (N, env.action_dim, H) or an x_t other than
     (env.state_dim,) raises ValueError, and so does a callable's output of
-    the wrong shape.  A diverged candidate (non-finite cost or state) is marked J = +inf; what it
+    the wrong shape or of a non-real dtype (EnvSpec states the rule).  A
+    diverged candidate (non-finite cost or state) is marked J = +inf; what it
     costs is decided by the solver, so J never depends on the batch.
     """
     if u_squashed.ndim != 3 or u_squashed.shape[1] != env.action_dim:
@@ -209,22 +223,37 @@ def point_reacher() -> EnvSpec:
     goal = np.array([0.6, -0.4])
     dt = DEFAULT_DT
 
+    # Each callable writes into its own outputs and temporaries, in place.  Every
+    # element sees the operations of the plain expressions (x + dt * v, d0 * d0 +
+    # d1 * d1, ...), reordered only where IEEE addition and products commute.
     def dynamics(x, u):
         out = np.empty_like(x)  # keeps the rollout's column-contiguous layout
-        out[:, :2] = x[:, :2] + dt * x[:, 2:]
-        out[:, 2:] = x[:, 2:] + dt * u
+        pos, vel = out[:, :2], out[:, 2:]
+        np.multiply(x[:, 2:], dt, out=pos)
+        pos += x[:, :2]
+        np.multiply(u, dt, out=vel)
+        vel += x[:, 2:]
         return out
 
     # squares written out: a .sum(axis=1) over a length-2 axis is 6x slower
     def sq_dist(x):
         d0, d1 = x[:, 0] - goal[0], x[:, 1] - goal[1]
-        return d0 * d0 + d1 * d1
+        d0 *= d0
+        d1 *= d1
+        d0 += d1
+        return d0
 
     def stage(x, u):
-        return sq_dist(x) + 0.01 * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
+        cost = u[:, 0] * u[:, 0]
+        cost += u[:, 1] * u[:, 1]
+        cost *= 0.01
+        cost += sq_dist(x)
+        return cost
 
     def terminal(x):
-        return 5.0 * sq_dist(x)
+        cost = sq_dist(x)
+        cost *= 5.0
+        return cost
 
     return EnvSpec(
         name="point_reacher",

@@ -172,18 +172,36 @@ def forward_update(
     weights: np.ndarray,
     alpha: float,
 ) -> SolverState:
-    """Smoothed weighted-MLE refit of theta+; `state` itself when every weight is zero."""
+    """Smoothed weighted-MLE refit of theta+; `state` itself when every weight is zero.
+
+    With wc = w / sum(w) and the batch flattened to (N, A*H), the refit takes
+    two passes: mu* = sum_n wc[n] u[n] and var* = sum_n wc[n] (u[n] - mu*)^2,
+    each one einsum that adds the rows in order, as (wc * u).sum(axis=0) does,
+    so both have its bits (a zero may change sign).  The deviations are the
+    one (N, A*H) temporary.  A batch with A*H = 1, or not in C order, keeps
+    the broadcast form: numpy sums a contiguous column pairwise, which einsum
+    does not.
+    """
     w = np.asarray(weights, dtype=float)
     total = w.sum()
     if total <= 0.0:
         return state
-    wc = w[:, None, None] / total
-    tmp = wc * u_batch
-    mu_star = tmp.sum(axis=0)
-    np.subtract(u_batch, mu_star, out=tmp)
-    tmp *= tmp
-    tmp *= wc
-    var_star = tmp.sum(axis=0)
+    wc = w / total
+    if u_batch.flags.c_contiguous and u_batch[0].size > 1:
+        flat = u_batch.reshape(u_batch.shape[0], -1)
+        mu_star = np.einsum("n,nk->k", wc, flat)
+        d = flat - mu_star
+        d *= d
+        mu_star = mu_star.reshape(u_batch.shape[1:])
+        var_star = np.einsum("n,nk->k", wc, d).reshape(mu_star.shape)
+    else:  # the broadcast form, whose sums einsum does not reproduce here (see above)
+        wc = wc[:, None, None]
+        tmp = wc * u_batch
+        mu_star = tmp.sum(axis=0)
+        np.subtract(u_batch, mu_star, out=tmp)
+        tmp *= tmp
+        tmp *= wc
+        var_star = tmp.sum(axis=0)
     sigma_star = np.sqrt(var_star)
     mu = (1.0 - alpha) * state.mu[0] + alpha * mu_star
     sigma = (1.0 - alpha) * state.sigma[0] + alpha * sigma_star
