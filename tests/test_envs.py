@@ -22,7 +22,7 @@ from rkmpc.envs import (
     rollout_batch,
     trap_corridor_cost,
 )
-from rkmpc.solvers import SolverConfig
+from rkmpc.solvers import SolverConfig, solve
 
 
 def zero_env():
@@ -127,6 +127,32 @@ class TestRolloutCost:
         env = dataclasses.replace(make_env(env_name), **{callable_name: bad})
         with pytest.raises(ValueError, match=re.escape(f"env.{callable_name} returned shape {got}, expected")):
             rollout_batch(env, env.initial_state, np.zeros((5, env.action_dim, 4)))
+
+    def test_list_output_is_converted(self):
+        # a list used to fail deep in the rollout ("'list' object has no attribute 'reshape'")
+        base = make_env("pendulum_swingup")
+        env = dataclasses.replace(base, stage_cost=lambda x, u: list(np.zeros(x.shape[0])))
+        config = SolverConfig(n_candidates=8, n_oversample=16, horizon=4, max_iterations=2)
+        result, _ = solve(env, env.initial_state, config, "accel")
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 1, 4))
+        zero_stage = dataclasses.replace(base, stage_cost=lambda x, u: np.zeros(x.shape[0]))
+        assert np.isfinite(result.u).all()
+        assert np.array_equal(rollout_batch(env, env.initial_state, u), rollout_batch(zero_stage, env.initial_state, u))
+
+    @pytest.mark.parametrize(
+        "bad, got",
+        [
+            (lambda x, u: np.zeros(x.shape[0], dtype=complex), "dtype complex128"),
+            (lambda x, u: [1j] * x.shape[0], "list, not real numbers"),
+            (lambda x, u: np.array(["a"] * x.shape[0]), "dtype <U1"),
+        ],
+        ids=["complex_array", "complex_list", "strings"],
+    )
+    def test_non_real_output_rejected(self, bad, got):
+        # a complex stage cost used to fail with UFuncTypeError at J += stage[k]
+        env = dataclasses.replace(make_env("pendulum_swingup"), stage_cost=bad)
+        with pytest.raises(ValueError, match=re.escape(f"env.stage_cost returned {got}")):
+            rollout_batch(env, env.initial_state, np.zeros((5, 1, 4)))
 
     @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 5)], ids=["two_action_rows", "two_dims"])
     def test_wrong_action_batch_shape_rejected(self, shape):
@@ -327,6 +353,56 @@ class TestPendulum:
         # first-order integrator: drift scales with dt * |dE/dt|; frozen
         # empirical ceiling for this amplitude and dt = 0.1
         assert max(drifts) < 2.5
+
+
+def reacher_reference():
+    """point_reacher's callables as plain expressions, each returning fresh arrays."""
+    goal, dt = np.array([0.6, -0.4]), DEFAULT_DT
+
+    def dynamics(x, u):
+        out = np.empty(x.shape)
+        out[:, :2] = x[:, :2] + dt * x[:, 2:]
+        out[:, 2:] = x[:, 2:] + dt * u
+        return out
+
+    def sq_dist(x):
+        d0, d1 = x[:, 0] - goal[0], x[:, 1] - goal[1]
+        return d0 * d0 + d1 * d1
+
+    def stage(x, u):
+        return sq_dist(x) + 0.01 * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
+
+    def terminal(x):
+        return 5.0 * sq_dist(x)
+
+    return dynamics, stage, terminal
+
+
+class TestPointReacher:
+    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows):
+        # the callables write into their own outputs and temporaries; each
+        # element must see the same IEEE operations as the plain expressions,
+        # signed zeros and a state on the goal included
+        rng = np.random.default_rng(rows)
+        x, u = rng.normal(0.0, 2.0, (rows, 4)), rng.uniform(-1.0, 1.0, (rows, 2))
+        x[::3, 0], x[1::3, 1], x[::2, 2], u[::2, 1] = 0.6, -0.4, -0.0, -0.0
+        x[::5, 3], u[::5, 0] = 0.0, 0.0
+        if layout == "rollout":  # views of (dim, steps, rows) memory, every column contiguous
+            xs, us = np.empty((4, 3, rows)).transpose(1, 2, 0)[1], np.empty((2, 3, rows)).transpose(1, 2, 0)[1]
+            xs[:], us[:] = x, u
+            x, u = xs, us
+        before = x.copy(), u.copy()
+        env = make_env("point_reacher")
+        dynamics, stage, terminal = reacher_reference()
+        got = env.dynamics(x, u)
+        assert got.tobytes() == dynamics(x, u).tobytes()
+        if layout == "rollout":  # the output keeps the layout
+            assert all(got[:, j].flags.c_contiguous for j in range(4))
+        assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
+        assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
+        assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])
 
 
 class TestEnvSpecChecks:

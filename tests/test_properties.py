@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from rkmpc.envs import make_env
 from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map, squash
-from rkmpc.solvers import PREV_CEILING, VARIANTS, SolverConfig, SolverState, noise_strength, solve
+from rkmpc.solvers import PREV_CEILING, VARIANTS, SolverConfig, SolverState, forward_update, noise_strength, solve
 from rkmpc.weights import WeightConfig, forward_weights, signed_log_weights
+from test_hot_paths import one_sided, ref_forward_update
 
 MEANS = st.floats(-1e3, 1e3)
 SCALES = st.floats(1e-6, 1e3)
@@ -224,3 +225,43 @@ def test_solve_from_a_wide_prev_returns_a_finite_in_bounds_action(variant, mu, s
         solve(env, env.initial_state, config, variant=variant, prev=state, step=1)
     assert np.isfinite(result.u).all()
     assert ((env.action_low <= result.u) & (result.u <= env.action_high)).all()
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 4096),
+    a=st.integers(1, 2),
+    h=st.integers(1, 50),
+    weight_kind=st.sampled_from(["sparse", "one_hot", "tiny"]),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+# A*H = 1 takes the broadcast branch, and so does a batch not in C order
+@example(n=2, a=1, h=1, weight_kind="sparse", log_scale=0.0, seed=0, fortran=False)
+@example(n=4096, a=1, h=1, weight_kind="tiny", log_scale=2.0, seed=1, fortran=False)
+@example(n=4096, a=2, h=50, weight_kind="sparse", log_scale=0.0, seed=2, fortran=False)  # the forward workload's
+@example(n=300, a=2, h=50, weight_kind="sparse", log_scale=0.0, seed=2, fortran=True)
+@example(n=3, a=2, h=1, weight_kind="one_hot", log_scale=-3.0, seed=3, fortran=False)
+def test_forward_update_has_the_broadcast_refits_bits(n, a, h, weight_kind, log_scale, seed, fortran):
+    # the einsum refit adds the rows in order, as (wc * u).sum(axis=0) does, so
+    # every value has the reference's bits (+ 0.0 compares zeros by value); a
+    # numpy whose einsum fused the multiply-add would fail here
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, 10.0**log_scale, (n, a, h))
+    if fortran:
+        u = np.asfortranarray(u)
+    if weight_kind == "sparse":  # about a third of the weights zero
+        w = rng.exponential(1.0, n) * (rng.random(n) < 0.7)
+        w[rng.integers(n)] = 1.0
+    elif weight_kind == "one_hot":
+        w = np.zeros(n)
+        w[rng.integers(n)] = rng.exponential(1.0)
+    else:  # 1e-300 beside ordinary weights and zeros: products below the normal range
+        w = rng.choice([0.0, 1e-300, 1.0], n)
+        w[rng.integers(n)] = 1e-300
+    prior = PolicyParams(rng.normal(0.0, 1.0, (a, h)), rng.uniform(0.1, 2.0, (a, h)))
+    got = forward_update(one_sided(prior), u, w, 0.3)
+    mu, sigma = ref_forward_update(prior, u, w, 0.3)
+    assert same_bits(got.mu[0] + 0.0, mu + 0.0)
+    assert same_bits(got.sigma[0] + 0.0, sigma + 0.0)

@@ -1,5 +1,6 @@
 """Smoke test of the developer tools under tools/."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -11,17 +12,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def iter_us(*argv: str) -> list[str]:
-    """The output lines of `tools/iter_us.py --base HEAD *argv`, which must exit 0."""
+def tool(name: str, *argv: str) -> list[str]:
+    """The output lines of `tools/<name> --base HEAD *argv`, which must exit 0."""
     has_head = shutil.which("git") and subprocess.run(
         ["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True
     ).returncode == 0
     if not has_head:
         pytest.skip("needs a git checkout with a commit")
-    cmd = [sys.executable, "tools/iter_us.py", "--base", "HEAD", *argv]
+    cmd = [sys.executable, f"tools/{name}", "--base", "HEAD", *argv]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def iter_us(*argv: str) -> list[str]:
+    return tool("iter_us.py", *argv)
 
 
 def test_iter_us_runs_head_against_head():
@@ -41,3 +46,37 @@ def test_iter_us_oversamples_4n_by_default():
                     "--pairs", "1")
     assert lines[0] == "iter_us: pendulum_swingup forward N=64 n_oversample=256 H=3, 2 iterations x 2 steps, 1 pairs"
     assert lines[3].endswith("actions identical"), lines[3]
+
+
+@pytest.mark.parametrize("flag", ["--pairs", "--steps", "--iterations"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_iter_us_rejects_counts_below_one(flag, value):
+    # --pairs 0 used to die in np.percentile and --steps 0 in a division, after the export and warm-up
+    cmd = [sys.executable, "tools/iter_us.py", "--base", "HEAD", flag, value]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in proc.stderr
+
+
+def test_pairs_runs_head_against_head(tmp_path):
+    out = tmp_path / "pairs.json"
+    tool("pairs.py", "--workload", "swingup_rt20", "--pairs", "1", "--seconds", "0", "--out", str(out))
+    report = json.loads(out.read_text())
+    gated = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(report) == {"workload", "workload_config", "seconds", "base", "head", "python", "numpy", "seeds",
+                           "pairs", "metrics"}
+    assert report["workload"] == "swingup_rt20" and report["workload_config"]["variant"] == "accel"
+    assert report["base"]["rev"] == "HEAD" and re.fullmatch("[0-9a-f]{40}", report["base"]["sha"])
+    assert report["head"]["sha"] == report["base"]["sha"] and isinstance(report["head"]["dirty"], bool)
+    assert report["seeds"] == [1] and len(report["pairs"]) == 1
+    pair = report["pairs"][0]
+    assert pair["seed"] == 1 and pair["first"] == "base"
+    for side in ("base", "head"):
+        assert set(pair[side]["metrics"]) == set(gated)
+        assert re.fullmatch("[0-9a-f]{16}", pair[side]["digest"])
+    assert set(report["metrics"]) == set(gated)
+    for name, m in report["metrics"].items():
+        assert m["better"] == gated[name] and m["head_won"] in (0, 1)
+        for side in ("base", "head"):
+            assert m[side]["median"] == pair[side]["metrics"][name]
+            assert m[side]["q1"] == m[side]["q3"] == m[side]["median"]

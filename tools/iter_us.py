@@ -47,12 +47,11 @@ def load(name: str, src: Path):
     return module
 
 
-def export_src(rev: str, dest: Path) -> Path:
-    """Write the `src` tree of `rev` under `dest` and return its path."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT, capture_output=True, check=True)
+def export(rev: str, dest: Path, paths: tuple[str, ...] = ("src",)) -> None:
+    """Write `paths` as committed at `rev` under `dest`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, *paths], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, filter="data")
-    return dest / "src"
 
 
 def config_of(lib, args):
@@ -78,6 +77,14 @@ def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
     return us, faults / iterations, np.concatenate(actions).tobytes()
 
 
+def positive(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return float(q1), float(med), float(q3)
@@ -92,13 +99,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-oversample", type=int, default=None,
                         help="oversampled candidates for reject and accel (default: SolverConfig's 4 * N)")
     parser.add_argument("--horizon", type=int, default=12)
-    parser.add_argument("--iterations", type=int, default=64, help="iterations per solve")
-    parser.add_argument("--steps", type=int, default=10, help="warm-started solves per episode")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--iterations", type=positive, default=64, help="iterations per solve")
+    parser.add_argument("--steps", type=positive, default=10, help="warm-started solves per episode")
+    parser.add_argument("--pairs", type=positive, default=10)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="iter_us_") as tmp:
-        sides = {"base": load("rkmpc_base", export_src(args.base, Path(tmp))), "head": load("rkmpc_head", ROOT / "src")}
+        export(args.base, Path(tmp))
+        sides = {"base": load("rkmpc_base", Path(tmp) / "src"), "head": load("rkmpc_head", ROOT / "src")}
         for lib in sides.values():  # lazy set-up, outside the timed pairs
             episode(lib, args, seed=args.pairs)
         us = {name: [] for name in sides}
