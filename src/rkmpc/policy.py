@@ -10,6 +10,7 @@ actions, which keeps the Gaussian algebra exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,27 @@ def sample_batch(params: PolicyParams | Gaussian, count: int, rng: np.random.Gen
     return u
 
 
+@lru_cache(maxsize=32)
+def _squash_bounds(low: bytes, high: bytes, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(low, high, mid, half, inside) of one set of float64 bounds, given by their
+    bytes, shaped (A, 1, ...) to broadcast over (A, H, ...) memory of `ndim` axes.
+    The arrays are read-only, since every call with these bounds shares them."""
+    bounds_shape = (-1,) + (1,) * (ndim - 1)
+    low, high = np.frombuffer(low).reshape(bounds_shape), np.frombuffer(high).reshape(bounds_shape)
+    mid = 0.5 * (low + high)
+    half = 0.5 * (high - low)
+    # low <= mid - half < mid + half <= high in every dimension implies low < high, so the
+    # bound check runs only where this fails; on Python floats, cheaper than ufuncs for small A
+    inside = all(
+        lo <= a < b <= hi
+        for lo, a, b, hi in zip(low.ravel().tolist(), (mid - half).ravel().tolist(),
+                                (mid + half).ravel().tolist(), high.ravel().tolist())
+    )
+    mid.setflags(write=False)
+    half.setflags(write=False)
+    return low, high, mid, half, inside
+
+
 def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Map pre-squash actions into the closed interval [low, high] per action dim.
 
@@ -99,6 +121,11 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     symmetric and skip it.  A non-finite u raises
     ValueError("squash input must be finite").
 
+    mid, half and that test are prepared once per distinct set of bound
+    values and input rank, and reused by later calls: the bounds are read on
+    every call and looked up by their bytes, never by the arrays' identity,
+    so bounds changed in place take effect at the next call.
+
     The result is a new array with the shape of `u_raw`, never a view of it.
     A batch (..., A, H) is computed in (A, H, ...) memory and returned as a
     (..., A, H) view of it, so `rollout_batch` takes its (A, H, N) layout
@@ -106,18 +133,8 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     sequence.
     """
     u_raw = np.asarray(u_raw, dtype=float)
-    bounds_shape = (-1,) + (1,) * (u_raw.ndim - 1)  # (A, 1, ...): over (A, H, ...) memory
-    low = np.asarray(low, dtype=float).reshape(bounds_shape)
-    high = np.asarray(high, dtype=float).reshape(bounds_shape)
-    mid = 0.5 * (low + high)
-    half = 0.5 * (high - low)
-    # low <= mid - half < mid + half <= high in every dimension implies low < high, so the
-    # bound check runs only where this fails; on Python floats, cheaper than ufuncs for small A
-    inside = all(
-        lo <= a < b <= hi
-        for lo, a, b, hi in zip(low.ravel().tolist(), (mid - half).ravel().tolist(),
-                                (mid + half).ravel().tolist(), high.ravel().tolist())
-    )
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    low, high, mid, half, inside = _squash_bounds(low.tobytes(), high.tobytes(), u_raw.ndim)
     # count_nonzero, not .any() / .all(): the same tests at less cost on small batches
     if not inside and np.count_nonzero(np.greater_equal(low, high)):
         raise ValueError("action bounds require low < high per dimension")
@@ -182,7 +199,9 @@ def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, sigma_i: np.ndarray) -
     """
     if np.shape(z_mu) != np.shape(sigma_i) or np.shape(z_sigma) != np.shape(sigma_i):
         raise ValueError("mirror point shape does not match reference")
-    if not (np.isfinite(z_mu).all() and np.isfinite(z_sigma).all()):
+    # count_nonzero, not .all(): the same test at less cost on (2, A, H) arrays
+    finite_mu, finite_sigma = np.isfinite(z_mu), np.isfinite(z_sigma)
+    if np.count_nonzero(finite_mu) + np.count_nonzero(finite_sigma) != finite_mu.size + finite_sigma.size:
         raise ValueError("mirror point entries must be finite")
     var_i = sigma_i**2
     sz = sigma_i * z_sigma

@@ -224,17 +224,18 @@ def md_gradient(
     if cluster.size == 0:
         raise ValueError("empty cluster: no update for this side")
     u = u_batch[cluster]  # a gathered copy, so the subtraction below writes into it
-    w = np.asarray(lnH, dtype=float)[cluster][:, None, None]
+    neg_w = np.asarray(lnH, dtype=float)[cluster]  # a gathered copy too, negated once in place
+    neg_w = np.negative(neg_w, out=neg_w)[:, None, None]
     diff = np.subtract(u, mu, out=u)
     var = sigma**2
-    t = -w * diff
+    t = neg_w * diff
     t /= var
-    g_mu = t.sum(axis=0) / cluster.size
+    g_mu = np.add.reduce(t, axis=0) / cluster.size  # what .sum(axis=0) calls, without its wrapper
     diff *= diff
     diff -= var
-    diff *= -w
+    diff *= neg_w
     diff /= var * sigma
-    g_sigma = diff.sum(axis=0) / cluster.size
+    g_sigma = np.add.reduce(diff, axis=0) / cluster.size
     return g_mu, g_sigma
 
 
@@ -252,13 +253,19 @@ def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, cl
 
 
 def _stepped(state: SolverState, sides: slice, **fields) -> SolverState:
-    """replace(state, **fields); new policy arrays cover only `sides`, the other side keeps its values."""
+    """replace(state, **fields), `carry` included; new policy arrays cover only
+    `sides`, the other side keeps its values."""
     if sides != slice(0, 2):
         for name in fields.keys() & {"mu", "sigma", "tilde_mu", "tilde_sigma"}:
             full = getattr(state, name).copy()
             full[sides] = fields[name]
             fields[name] = full
-    return replace(state, **fields)
+    get = fields.get  # built directly: dataclasses.replace reads the fields' list on every call
+    return SolverState(
+        get("mu", state.mu), get("sigma", state.sigma), get("tilde_mu", state.tilde_mu),
+        get("tilde_sigma", state.tilde_sigma), get("a_i", state.a_i), get("A_i", state.A_i),
+        get("sigma_max_running", state.sigma_max_running), state.carry,
+    )
 
 
 def _mirror_descent(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, alpha: float, clusters: tuple):
@@ -605,6 +612,7 @@ def solve(
 
     start = time.monotonic()
     iter_times: list[float] = []
+    total_t = 0.0  # sum of iter_times, kept as they are timed
     mean_t = math.inf  # mean of iter_times; infinite until an iteration is timed
     cost_trace: list[float] = []
     s_final = 0.0
@@ -631,7 +639,7 @@ def solve(
             J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
 
             finite = np.isfinite(J)
-            if not finite.all():
+            if np.count_nonzero(finite) != finite.size:  # not .all(): the same test at less cost
                 nonfinite_total += int((~finite).sum())
                 ceiling = J[finite].max() if finite.any() else 0.0
                 J = np.where(finite, J, max(ceiling + NONFINITE_PENALTY, np.nextafter(ceiling, np.inf)))
@@ -640,7 +648,8 @@ def solve(
             state, moved, s_final = _update(variant, state, u_batch, J, config)
             moved_count += moved
             iter_times.append(time.monotonic() - t0)
-            mean_t = sum(iter_times) / len(iter_times)
+            total_t += iter_times[-1]
+            mean_t = total_t / len(iter_times)
     finally:
         if prefetch is not None:
             carried = prefetch.close()

@@ -74,8 +74,13 @@ def _backend_weights(
             gap = lo - J
     if config.temperature < 1.0:
         np.maximum(gap, -746.0 * config.temperature, out=gap)
-    e = np.exp(gap / config.temperature)
-    return total * e / e.sum()
+    if config.temperature != 1.0:  # x / 1.0 has the bits of x
+        gap /= config.temperature
+    e = np.exp(gap, out=gap)
+    s = e.sum()
+    e *= total  # (total * e) / s, in place
+    e /= s
+    return e
 
 
 def forward_weights(J: np.ndarray, config: WeightConfig) -> np.ndarray:
@@ -104,4 +109,5 @@ def partition_clusters(lnH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Zero-weight candidates carry no gradient and belong to neither cluster.
     """
     lnH = np.asarray(lnH, dtype=float).ravel()
-    return np.flatnonzero(lnH > 0.0), np.flatnonzero(lnH < 0.0)
+    # the method, not np.flatnonzero: the same indices without its wrapper's ravel and dispatch
+    return (lnH > 0.0).nonzero()[0], (lnH < 0.0).nonzero()[0]

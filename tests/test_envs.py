@@ -216,8 +216,8 @@ LOCAL_ENVS = {
 
 
 class TestBlockedRollout:
-    # (3, 5) is one block; at (300, 37) blocks of 13 steps end with 11; at
-    # (1024, 50) blocks of 4 steps end with 2
+    # (3, 5) is one block; at (300, 37) blocks of 27 steps end with 10; at
+    # (1024, 50) blocks of 8 steps end with 2
     @pytest.mark.parametrize("n, horizon", [(3, 5), (300, 37), (1024, 50)])
     @pytest.mark.parametrize("name", sorted(REGISTRY) + list(LOCAL_ENVS))
     def test_matches_per_step_loop_bit_for_bit(self, name, n, horizon):
@@ -262,7 +262,7 @@ class TestBlockedRollout:
         assert J[0] == np.inf and np.isfinite(J[1:]).all()
         assert J.tobytes() == rollout_batch(explicit, env.initial_state, u).tobytes()
 
-    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (300, 37, 3), (1024, 50, 13)])
+    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (600, 37, 3), (1024, 50, 7)])
     def test_call_counts(self, n, horizon, blocks):
         assert blocks == -(-horizon // max(1, BLOCK_ROWS // n))
         base = make_env("pendulum_swingup")
@@ -282,7 +282,7 @@ class TestBlockedRollout:
         rollout_batch(env, env.initial_state, np.zeros((n, 1, horizon)))
         assert calls == {"dynamics": horizon, "stage_cost": blocks, "constraint": blocks, "terminal_cost": 1}
 
-    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (1024, 50, 13)])
+    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (1024, 50, 7)])
     def test_every_column_the_callables_get_is_contiguous(self, n, horizon, blocks):
         contiguous = []
 

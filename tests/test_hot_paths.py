@@ -23,8 +23,18 @@ to within 1e-12 of the `log_density` reference, and the rows
 Generator's fresh array, or the buffer a prefetching solve drew into
 beforehand.  Both give the bits of the reference expression, and
 `md_gradient` likewise works in its own gathered copy of the cluster.
+
+The helpers every iteration calls on small arrays were trimmed of fixed
+costs, and each is pinned to the form it replaced: `partition_clusters` to
+`np.flatnonzero`, the MPPI weights to the gap divided by the temperature
+even at 1, `rollout_batch` to a per-step loop that marks non-finite costs
+and end states unconditionally (its first block's costs are now added in
+one reduction), `squash` to its reference after bounds change in place
+(it prepares each distinct set of bound values once), and every update to
+keeping its input state's `carry`.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +42,8 @@ import numpy as np
 import pytest
 
 import rkmpc.solvers as solvers
-from rkmpc.envs import make_env
+import rkmpc.weights as weights_module
+from rkmpc.envs import EnvSpec, make_env, rollout_batch
 from rkmpc.policy import LOG_2PI, SIGMA_FLOOR, PolicyParams, log_density, sample_batch, squash
 from rkmpc.prefetch import Drawn
 from rkmpc.solvers import (
@@ -49,7 +60,7 @@ from rkmpc.solvers import (
     solve,
     step_size_advance,
 )
-from rkmpc.weights import partition_clusters
+from rkmpc.weights import WeightConfig, partition_clusters
 
 # A single (A, H) sequence, then (count, A, H) batches from the swing-up to
 # the bulk workloads' shapes.
@@ -442,3 +453,132 @@ class TestPolicyParamsConstructions:
             result, state = solve(env, env.initial_state, config, variant=variant, prev=state, step=step)
             assert result.iterations == 8
             assert len(built) <= 1, (step, len(built))
+
+
+# The per-iteration helpers trimmed of fixed costs, each against the
+# expression it replaced.
+
+
+def ref_partition_clusters(lnH):
+    lnH = np.asarray(lnH, dtype=float).ravel()
+    return np.flatnonzero(lnH > 0.0), np.flatnonzero(lnH < 0.0)
+
+
+def ref_mppi_weights(J, lo, hi, temperature, total):
+    """_backend_weights' MPPI branch as it was: the gap always divided by the temperature."""
+    with np.errstate(over="ignore"):
+        gap = lo - J
+    if temperature < 1.0:
+        np.maximum(gap, -746.0 * temperature, out=gap)
+    e = np.exp(gap / temperature)
+    return total * e / e.sum()
+
+
+def ref_rollout(env, x_t, u):
+    """Every callable once per step, J summed per step, and the non-finite
+    marks made unconditionally, as rollout_batch made them."""
+    n, _, horizon = u.shape
+    x = np.broadcast_to(np.asarray(x_t, dtype=float), (n, env.state_dim)).copy()
+    J = np.zeros(n)
+    for tau in range(horizon):
+        J += env.stage_cost(x, u[:, :, tau])
+        x = env.dynamics(x, u[:, :, tau])
+    J += env.terminal_cost(x)
+    J[~np.isfinite(J) | ~np.isfinite(x).all(axis=1)] = np.inf
+    return J
+
+
+def marked_env(stage=None):
+    """A 1-D env whose action 0.5 makes a NaN stage cost and -0.5 an infinite
+    state while the cost stays finite; `stage` replaces the stage cost."""
+    return EnvSpec(
+        name="marked",
+        state_dim=1,
+        action_dim=1,
+        action_low=np.array([-1.0]),
+        action_high=np.array([1.0]),
+        dynamics=lambda x, u: np.where(u == -0.5, np.inf, x + u),
+        stage_cost=stage or (lambda x, u: np.where(u[:, 0] == 0.5, np.nan, u[:, 0] * u[:, 0])),
+        terminal_cost=lambda x: np.full(x.shape[0], -0.0),  # keeps the sign of a zero J
+    )
+
+
+class TestTrimmedHelpersAgainstOldForms:
+    @pytest.mark.parametrize("n", [1, 2, 32, 1024])
+    def test_partition_clusters(self, n):
+        rng = np.random.default_rng(n)
+        cases = [rng.normal(0.0, 2.0, n), np.zeros(n), np.full(n, -0.0), np.full(n, np.nan),
+                 np.where(rng.random(n) < 0.3, 0.0, rng.normal(0.0, 1e-300, n)), np.arange(n) - n // 2]
+        for lnH in cases + [cases[0].reshape(1, n), list(cases[0])]:
+            got, want = partition_clusters(lnH), ref_partition_clusters(lnH)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 2.0, 1e-3])
+    def test_mppi_weights(self, temperature):
+        # at temperature 1 the division is skipped: x / 1.0 has the bits of x
+        rng = np.random.default_rng(11)
+        config = WeightConfig(temperature=temperature)
+        for J in (rng.exponential(1.0, 32), rng.normal(0.0, 1e3, 1024), np.array([0.0, -0.0, 5e-324, 1e308])):
+            lo, hi = float(J.min()), float(J.max())
+            for total in (float(J.size), 0.25 * J.size):
+                got = weights_module._backend_weights(J, lo, hi, config, total, config.quantile)
+                assert same_bits(got, ref_mppi_weights(J, lo, hi, temperature, total))
+            negative = weights_module._backend_weights(-J, -hi, -lo, config, 0.5 * J.size, config.quantile)
+            assert same_bits(negative, ref_mppi_weights(-J, -hi, -lo, temperature, 0.5 * J.size))
+
+    @pytest.mark.parametrize("n, horizon", [(3, 4), (32, 12), (1024, 50)])
+    def test_rollout_marks_nonfinite_costs_and_end_states(self, n, horizon):
+        env = marked_env()
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 1, horizon))
+        u[0, 0, horizon // 2] = 0.5  # a NaN cost, the end state finite
+        u[-1, 0, 0] = -0.5  # an infinite state from the first step on, the cost finite
+        J = rollout_batch(env, env.initial_state, u)
+        assert same_bits(J, ref_rollout(env, env.initial_state, u))
+        assert J[0] == J[-1] == np.inf and np.isfinite(J[1:-1]).all()
+        u[0, 0, horizon // 2] = 0.25  # only the end state is not finite
+        J = rollout_batch(env, env.initial_state, u)
+        assert same_bits(J, ref_rollout(env, env.initial_state, u))
+        assert J[-1] == np.inf and np.isfinite(J[:-1]).all()
+        u[-1, 0, 0] = 0.25  # all finite: no mask is built
+        assert same_bits(rollout_batch(env, env.initial_state, u), ref_rollout(env, env.initial_state, u))
+
+    @pytest.mark.parametrize("stage", [
+        lambda x, u: u[:, 0] * 10.0 ** (8.0 * u[:, 0]),  # magnitudes 1e-8..1e8: sums that round
+        lambda x, u: np.full(x.shape[0], -0.0),  # all -0.0: J stays +0.0, as from the loop
+        lambda x, u: np.round(u[:, 0] * 1e6).astype(np.int64),
+        lambda x, u: u[:, 0] > 0.0,
+        lambda x, u: (u[:, 0] * 1e30).astype(np.float32),
+        lambda x, u: (u[:, 0] * u[:, 0])[::-1].copy()[::-1],  # a reversed view
+        lambda x, u: np.ascontiguousarray(np.stack((u[:, 0], u[:, 0]), axis=1))[:, 0],  # a strided one
+    ], ids=["wide", "negative_zero", "int64", "bool", "float32", "reversed", "strided"])
+    @pytest.mark.parametrize("n, horizon", [(1, 12), (2, 9), (33, 20), (600, 37)])
+    def test_rollout_first_block_sum(self, stage, n, horizon):
+        # the first block's stage costs are added by one reduction, later blocks by the loop
+        env = marked_env(stage)
+        u = np.random.default_rng(n + horizon).uniform(-1.0, 1.0, (n, 1, horizon))
+        assert same_bits(rollout_batch(env, env.initial_state, u), ref_rollout(env, env.initial_state, u))
+
+    def test_squash_reads_bounds_changed_in_place(self):
+        # the prepared bounds are looked up by value: a cache keyed on the arrays'
+        # identity would squash the second call into the first call's bounds
+        _, u = case((32, 2, 12))
+        low, high = np.array([-1.0, -2.0]), np.array([2.0, 0.5])
+        first = squash(u, low, high)
+        assert same_bits(first, ref_squash(u, low, high))
+        low[1], high[0] = -3.0, 1.5
+        assert same_bits(squash(u, low, high), ref_squash(u, [-1.0, -3.0], [1.5, 0.5]))
+        assert same_bits(squash(u, [-1.0, -2.0], [2.0, 0.5]), first)
+        high[1] = -4.0  # low >= high is still caught on a later call
+        with pytest.raises(ValueError, match="low < high"):
+            squash(u, low, high)
+
+    @pytest.mark.parametrize("lnh_case", sorted(LNH_CASES))
+    def test_updates_keep_the_carry(self, lnh_case):
+        state, _, u, lnH, J = two_sided_case((32, 1, 12), lnh_case)
+        carry = object()
+        state = dataclasses.replace(state, carry=carry)
+        config = SolverConfig(alpha=0.2, gamma=0.5)
+        assert accel_update(state, u, lnH, J, config)[0].carry is carry
+        assert reject_update(state, u, lnH, 0.3).carry is carry
+        assert reverse_update(state, u, lnH, 0.3).carry is carry
+        assert forward_update(state, u, np.maximum(lnH, 0.0), 0.3).carry is carry

@@ -707,14 +707,14 @@ class TestSolve:
         rng = np.random.default_rng(7)
         diverging = diverging_env()
         small_cuts = ([1], [16], [5, 6, 20, 32], list(range(1, 33)))
-        # 600 x 15 runs in blocks of 6 steps; chunks of 273 and 274 candidates
-        # straddle BLOCK_ROWS (4,095 rows in one block, 4,110 in blocks of 14)
-        straddling = ([273, 547],)
-        assert 273 * 15 <= BLOCK_ROWS < 274 * 15
+        # 1200 x 15 runs in blocks of 6 steps; chunks of 546 and 547 candidates
+        # straddle BLOCK_ROWS (8,190 rows in one block, 8,205 in blocks of 14)
+        straddling = ([546, 1093],)
+        assert 546 * 15 <= BLOCK_ROWS < 547 * 15
         for e, batch, cut_lists in (
             (env, rng.uniform(-2.0, 2.0, (33, env.action_dim, 8)), small_cuts),
             (diverging, rng.uniform(-1.0, 1.0, (33, diverging.action_dim, 4)), small_cuts),
-            (env, rng.uniform(-2.0, 2.0, (600, env.action_dim, 15)), straddling),
+            (env, rng.uniform(-2.0, 2.0, (1200, env.action_dim, 15)), straddling),
         ):
             whole = rollout_batch(e, e.initial_state, batch)
             for cuts in cut_lists:

@@ -1,6 +1,7 @@
 """Smoke test of the developer tools under tools/."""
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# rtbench prints these unchecked; tools/pairs.py records them beside the gated metrics
+NOT_GATED = {"iters_per_step_mean", "iter_ms_p50", "step_ms_p50", "ref_iter_ms", "candidate_steps_per_s"}
 
 
 def tool(name: str, *argv: str) -> list[str]:
@@ -64,7 +67,7 @@ def test_pairs_runs_head_against_head(tmp_path):
     report = json.loads(out.read_text())
     gated = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     assert set(report) == {"workload", "workload_config", "seconds", "base", "head", "python", "numpy", "seeds",
-                           "pairs", "metrics"}
+                           "pairs", "metrics", "info"}
     assert report["workload"] == "swingup_rt20" and report["workload_config"]["variant"] == "accel"
     assert report["base"]["rev"] == "HEAD" and re.fullmatch("[0-9a-f]{40}", report["base"]["sha"])
     assert report["head"]["sha"] == report["base"]["sha"] and isinstance(report["head"]["dirty"], bool)
@@ -80,3 +83,40 @@ def test_pairs_runs_head_against_head(tmp_path):
         for side in ("base", "head"):
             assert m[side]["median"] == pair[side]["metrics"][name]
             assert m[side]["q1"] == m[side]["q3"] == m[side]["median"]
+    # rtbench's "(not gated)" lines, per pair and summarised, with their units
+    assert NOT_GATED <= set(report["info"])
+    for name, m in report["info"].items():
+        for side in ("base", "head"):
+            got = pair[side]["info"][name]
+            assert got["unit"] == m["unit"] and math.isfinite(got["value"])
+            assert m[side]["median"] == m[side]["q1"] == m[side]["q3"] == got["value"]
+    assert report["info"]["iters_per_step_mean"]["unit"] == "count"
+    assert report["info"]["iters_per_step_mean"]["head"]["median"] >= 1
+
+
+def test_pairs_rejects_a_negative_seed(tmp_path):
+    # a negative seed used to fail only inside the first rtbench run, after the export
+    out = tmp_path / "pairs.json"
+    cmd = [sys.executable, "tools/pairs.py", "--base", "HEAD", "--workload", "swingup_rt20", "--seed", "-1",
+           "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "argument --seed: must be >= 0, got -1" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_file_is_well_formed(path):
+    # each is tools/pairs.py's output: every gated metric in BENCHMARK.json's
+    # direction, and one pair per seed, in order
+    report = json.loads(path.read_text())
+    gated = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert {name: m["better"] for name, m in report["metrics"].items()} == gated
+    seeds = report["seeds"]
+    assert len(report["pairs"]) == len(seeds) >= 1
+    assert [pair["seed"] for pair in report["pairs"]] == seeds
+    for pair in report["pairs"]:
+        for side in ("base", "head"):
+            assert set(pair[side]["metrics"]) == set(gated)
+    for m in report["metrics"].values():
+        assert 0 <= m["head_won"] <= len(seeds)

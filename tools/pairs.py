@@ -19,6 +19,11 @@ The output file holds the workload's config, the base revision and both SHAs
 numpy versions, the seeds, every pair's metrics and results digests, and per
 gated metric each side's median, quartiles and IQR over median, and the pairs
 the head won, in the direction BENCHMARK.json gives (ties count for neither).
+rtbench's "(not gated)" lines, such as iters_per_step_mean, iter_ms_p50 and
+ref_iter_ms, are kept too: each pair's values, as printed to 6 significant
+digits, under "info", and each side's median and quartiles under the
+report's "info", with their units and no direction.  A seed below 0 is
+rejected with the arguments, before any tree is exported.
 """
 
 from __future__ import annotations
@@ -69,10 +74,20 @@ def run(tree: Path, args, seed: int) -> dict:
         sys.exit(f"pairs: {tree.name} run, seed {seed}, failed (exit {proc.returncode}):\n"
                  + "\n".join(lines[-5:]) + proc.stderr[-2000:])
     digest = re.search(r"results digest \(episode seed \d+\) = (\w+)", proc.stdout)
+    info = re.findall(r"^  (\w+) = (\S+) (\S+) \(not gated\)$", proc.stdout, re.MULTILINE)
     return {
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+        "info": {name: {"value": float(value), "unit": unit} for name, value, unit in info},
         "digest": digest.group(1) if digest else None,
     }
+
+
+def nonnegative(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def summary_of(values: list[float]) -> dict:
@@ -86,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=positive, default=10)
     parser.add_argument("--seconds", type=float, default=32.0, help="rtbench --seconds of every run")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i runs seed + i")
+    parser.add_argument("--seed", type=nonnegative, default=1, help="seed of the first pair; pair i runs seed + i")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -124,6 +139,13 @@ def main(argv: list[str] | None = None) -> int:
             "head": summary_of(values["head"]),
             "head_won": sum(sign * (h - b) > 0 for h, b in zip(values["head"], values["base"])),
         }
+    info = {}
+    runs = [p[side]["info"] for p in pairs for side in ("base", "head")]
+    for name, first in runs[0].items():
+        if not all(name in run for run in runs):  # printed by one tree's rtbench only
+            continue
+        values = {side: [p[side]["info"][name]["value"] for p in pairs] for side in ("base", "head")}
+        info[name] = {"unit": first["unit"], "base": summary_of(values["base"]), "head": summary_of(values["head"])}
     report = {
         "workload": args.workload,
         "workload_config": workloads[args.workload],
@@ -135,11 +157,14 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "pairs": pairs,
         "metrics": metrics,
+        "info": info,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in metrics.items():
         print(f"{name} ({m['better']} is better): base {m['base']['median']:.6g} -> head {m['head']['median']:.6g}, "
               f"head better in {m['head_won']} of {args.pairs}")
+    for name, m in info.items():
+        print(f"{name} (not gated): base {m['base']['median']:.6g} -> head {m['head']['median']:.6g} {m['unit']}")
     return 0
 
 
