@@ -173,7 +173,11 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
             x_at[0] = x_at[steps]
         steps = min(block, horizon - start)
         for k in range(steps):
-            x_at[k + 1] = _checked("dynamics", dynamics(x_at[k], u_at[start + k]), state_shape)
+            out = dynamics(x_at[k], u_at[start + k])
+            # _checked's test inline: only an output to convert or reject pays for the call
+            if out.__class__ is not np.ndarray or out.shape != state_shape or out.dtype.kind not in "biuf":
+                out = _checked("dynamics", out, state_shape)
+            x_at[k + 1] = out
         rows = steps * n
         x_rows = x_at[:steps].reshape(rows, env.state_dim)
         u_rows = u_at[start : start + steps].reshape(rows, a)
@@ -284,6 +288,14 @@ def point_reacher() -> EnvSpec:
     )
 
 
+def _constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Each value as a read-only 0-d float64 array."""
+    arrays = tuple(np.array(value, dtype=float) for value in values)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 PENDULUM_GRAVITY = 9.81
 PENDULUM_TORQUE = 2.0
 
@@ -293,25 +305,61 @@ def pendulum_swingup() -> EnvSpec:
 
     Max torque is well below m*g*l, so swing-up needs pumping.  State is
     [angle, angular velocity]; angle 0 with zero velocity and zero torque is
-    a fixed point of the dynamics.
+    a fixed point of the dynamics.  The callables compute in place, with the
+    bits of the plain expressions in their comments; dynamics returns the
+    column-contiguous layout rollout_batch keeps its states in.
     """
-    dt = DEFAULT_DT
+    # The constants are 0-d float64 arrays: as a ufunc operand of a float64 array
+    # each gives the bits of the Python float, without the conversion numpy makes
+    # of a Python float on every call (about 0.2 us of a 0.6 us product at N = 32).
+    dt, gravity, pi, two_pi = _constants(DEFAULT_DT, PENDULUM_GRAVITY, np.pi, 2.0 * np.pi)
+    tenth, milli, five = _constants(0.1, 0.001, 5.0)
 
+    # Each callable writes into its own temporaries, in place.  Every element sees
+    # the operations of the plain expressions (phi + dt * omega, omega + dt * (g *
+    # sin(phi) + u), wrap(phi) ** 2 + 0.1 * omega ** 2 + ...), reordered only where
+    # IEEE addition and products commute; a ** 2 is a * a.
     def dynamics(x, u):
+        # one (2, N) temporary of contiguous rows, returned as its (N, 2) transpose,
+        # whose columns are contiguous as rollout_batch's are: every operation runs
+        # one 1-D loop, and sin writes contiguous memory as it did into a fresh array
         phi, omega = x[:, 0], x[:, 1]
-        out = np.empty(x.shape)  # measured cheaper than np.empty_like(x) at N = 32
-        out[:, 0] = phi + dt * omega
-        out[:, 1] = omega + dt * (PENDULUM_GRAVITY * np.sin(phi) + u[:, 0])
-        return out
+        d = np.empty((2, x.shape[0]))
+        next_phi, next_omega = d[0], d[1]
+        np.multiply(omega, dt, out=next_phi)
+        next_phi += phi
+        np.sin(phi, out=next_omega)
+        next_omega *= gravity
+        next_omega += u[:, 0]
+        next_omega *= dt
+        next_omega += omega
+        return d.T
 
-    def wrap(phi):
-        return (phi + np.pi) % (2.0 * np.pi) - np.pi
+    def sq_wrapped(phi):  # wrap(phi) ** 2, with wrap(phi) = (phi + pi) % 2pi - pi
+        w = phi + pi
+        np.remainder(w, two_pi, out=w)
+        w -= pi
+        w *= w
+        return w
+
+    def energy(x):  # wrap(phi) ** 2 + 0.1 * omega ** 2
+        cost = sq_wrapped(x[:, 0])
+        omega2 = x[:, 1] * x[:, 1]
+        omega2 *= tenth
+        cost += omega2
+        return cost
 
     def stage(x, u):
-        return wrap(x[:, 0]) ** 2 + 0.1 * x[:, 1] ** 2 + 0.001 * u[:, 0] ** 2
+        cost = energy(x)
+        effort = u[:, 0] * u[:, 0]
+        effort *= milli
+        cost += effort
+        return cost
 
     def terminal(x):
-        return 5.0 * (wrap(x[:, 0]) ** 2 + 0.1 * x[:, 1] ** 2)
+        cost = energy(x)
+        cost *= five
+        return cost
 
     return EnvSpec(
         name="pendulum_swingup",

@@ -165,7 +165,7 @@ def log_density(params: PolicyParams | Gaussian, u_raw: np.ndarray) -> np.ndarra
     z *= z
     z *= 0.5  # (z*z)*0.5 == (0.5*z)*z: scaling by 2**-1 is exact above the subnormals
     np.subtract(-0.5 * LOG_2PI - np.log(params.sigma), z, out=z)
-    return z.sum(axis=(-2, -1))
+    return np.add.reduce(z, axis=(-2, -1))  # what .sum calls, without its wrapper
 
 
 def kl_divergence(theta: PolicyParams, theta_i: PolicyParams) -> float:
@@ -178,10 +178,15 @@ def kl_divergence(theta: PolicyParams, theta_i: PolicyParams) -> float:
     return float(0.5 * terms.sum())
 
 
+def _shape(a) -> tuple:
+    """np.shape(a), read off an ndarray without the call."""
+    return a.shape if a.__class__ is np.ndarray else np.shape(a)
+
+
 def mirror_map(mu: np.ndarray, sigma: np.ndarray, sigma_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mirror point (z_mu, z_sigma) of (mu, sigma) in the KL geometry at scale
     sigma_i; all arrays share one shape, (A, H) or with sides stacked ahead."""
-    if np.shape(mu) != np.shape(sigma_i) or np.shape(sigma) != np.shape(sigma_i):
+    if _shape(mu) != _shape(sigma_i) or _shape(sigma) != _shape(sigma_i):
         raise ValueError("parameter shapes must match")
     var_i = sigma_i**2
     return mu / var_i, sigma / var_i - 1.0 / sigma
@@ -197,7 +202,7 @@ def mirror_inverse(z_mu: np.ndarray, z_sigma: np.ndarray, sigma_i: np.ndarray) -
     written with + |sigma_i*z|: equal where it is selected, and never 0.
     np.hypot keeps sqrt(sigma_i^2 z^2 + 4) from overflowing for large |z|.
     """
-    if np.shape(z_mu) != np.shape(sigma_i) or np.shape(z_sigma) != np.shape(sigma_i):
+    if _shape(z_mu) != _shape(sigma_i) or _shape(z_sigma) != _shape(sigma_i):
         raise ValueError("mirror point shape does not match reference")
     # count_nonzero, not .all(): the same test at less cost on (2, A, H) arrays
     finite_mu, finite_sigma = np.isfinite(z_mu), np.isfinite(z_sigma)

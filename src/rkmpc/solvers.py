@@ -85,6 +85,7 @@ PREFETCH_MIN_NORMALS = 32_768
 # A warm-start prev whose theta+- holds a |mu| or sigma above this is rejected.  From
 # a prev at 1e70 the updates overflowed; at 1e50 and 1e60 none did (see README).
 PREV_CEILING = 1e50
+_BOTH_SIDES = slice(0, 2)  # the `sides` of an update that steps theta+ and theta-
 
 
 @dataclass(frozen=True)
@@ -218,44 +219,74 @@ def md_gradient(
     """Cluster-averaged gradient of the signed weighted log-likelihood at (mu, sigma).
 
     g = (1/|C|) sum_{n in C} (-lnH^n) * grad_theta ln pi(U^n; theta), with the
-    diagonal-Gaussian score functions written out element-wise.
+    diagonal-Gaussian score functions written out element-wise.  The work is
+    `_cluster_gradient`'s, which `_side_gradients` calls for both sides.
     """
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size == 0:
         raise ValueError("empty cluster: no update for this side")
-    u = u_batch[cluster]  # a gathered copy, so the subtraction below writes into it
-    neg_w = np.asarray(lnH, dtype=float)[cluster]  # a gathered copy too, negated once in place
-    neg_w = np.negative(neg_w, out=neg_w)[:, None, None]
-    diff = np.subtract(u, mu, out=u)
-    var = sigma**2
-    t = neg_w * diff
-    t /= var
-    g_mu = np.add.reduce(t, axis=0) / cluster.size  # what .sum(axis=0) calls, without its wrapper
-    diff *= diff
-    diff -= var
-    diff *= neg_w
-    diff /= var * sigma
-    g_sigma = np.add.reduce(diff, axis=0) / cluster.size
+    neg_w = np.asarray(lnH, dtype=float).take(cluster)  # a gathered copy, negated once in place
+    return _cluster_gradient(mu, sigma, u_batch, cluster, np.negative(neg_w, out=neg_w))
+
+
+def _cluster_gradient(mu, sigma, u_batch, cluster, neg_w, g_mu=None, g_sigma=None):
+    """md_gradient over the non-empty index array `cluster`, given its rows'
+    weights neg_w = -lnH[cluster], which it only reads, into g_mu and g_sigma
+    if they are given.
+
+    The rows are gathered into one (|C|, A, H) buffer twice, once for each
+    sum, rather than kept beside a second temporary of that size: with two
+    such arrays alive at once, malloc returned the freed pair to the system
+    after every update and faulted it back in at the next iteration (reverse
+    at (1024, 2, 50) took about 370 minor faults per iteration, forward 8).
+    Every element sees the operations of the two-temporary form, and each sum
+    adds the rows in the same order, so the bits are the same.
+    """
+    n = cluster.size
+    neg_w = neg_w[:, None, None]
+    var = sigma * sigma
+    u = u_batch.take(cluster, axis=0)  # a gathered copy, written in place below
+    u -= mu
+    u *= neg_w
+    u /= var
+    g_mu = np.add.reduce(u, axis=0, out=g_mu)  # what .sum(axis=0) calls, without its wrapper
+    g_mu /= n
+    # the same rows into the same buffer; "wrap" is not buffered as "raise" is, and the
+    # indices passed the first take, so it gathers the same rows
+    u_batch.take(cluster, axis=0, out=u, mode="wrap")
+    u -= mu
+    u *= u
+    u -= var
+    u *= neg_w
+    u /= var * sigma
+    g_sigma = np.add.reduce(u, axis=0, out=g_sigma)
+    g_sigma /= n
     return g_mu, g_sigma
 
 
 def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, clusters: tuple):
     """(sides, g_mu, g_sigma): the slice of the side axis whose clusters (C+, C-)
     are not empty, and its gradients, theta+ over C+ with lnH and theta- over
-    C- with -lnH (so pi- models the bad candidates), each over its own cluster."""
+    C- with -lnH (so pi- models the bad candidates), each over its own cluster.
+    Each side's weights are gathered once, the ones md_gradient would get:
+    -lnH[C+] for theta+ and lnH[C-] itself for theta-, whose -(-lnH) it is."""
     lnH = np.asarray(lnH, dtype=float)
     live = [k for k in (0, 1) if clusters[k].size]
     g_mu = np.empty((len(live),) + state.mu.shape[1:])
     g_sigma = np.empty_like(g_mu)
     for j, k in enumerate(live):
-        g_mu[j], g_sigma[j] = md_gradient(state.mu[k], state.sigma[k], u_batch, -lnH if k else lnH, clusters[k])
-    return (slice(live[0], live[-1] + 1) if live else slice(0, 0)), g_mu, g_sigma
+        w = lnH.take(clusters[k])
+        if not k:
+            np.negative(w, out=w)
+        _cluster_gradient(state.mu[k], state.sigma[k], u_batch, clusters[k], w, g_mu[j], g_sigma[j])
+    sides = _BOTH_SIDES if len(live) == 2 else slice(live[0], live[0] + 1) if live else slice(0, 0)
+    return sides, g_mu, g_sigma
 
 
 def _stepped(state: SolverState, sides: slice, **fields) -> SolverState:
     """replace(state, **fields), `carry` included; new policy arrays cover only
     `sides`, the other side keeps its values."""
-    if sides != slice(0, 2):
+    if sides is not _BOTH_SIDES:  # an equal slice made elsewhere takes this path, to the same state
         for name in fields.keys() & {"mu", "sigma", "tilde_mu", "tilde_sigma"}:
             full = getattr(state, name).copy()
             full[sides] = fields[name]
@@ -321,7 +352,7 @@ def selection_log_scores(
     z = z.reshape(z.shape[0], -1)
     log_pm = np.einsum("ij,ij->i", z, z)
     log_pm *= -0.5
-    log_pm += float((-0.5 * LOG_2PI - np.log(theta_minus.sigma)).sum())
+    log_pm += float(np.add.reduce(-0.5 * LOG_2PI - np.log(theta_minus.sigma), axis=None))
     if kappa == 0.0:
         return -log_pm
     anchor = math.log(kappa) + float(log_density(theta_plus, theta_minus.mu))
@@ -366,8 +397,9 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     if J.size < 2:
         raise ValueError("need at least two cost samples")
     with np.errstate(over="ignore", invalid="ignore"):  # costs past about 1e308 / N overflow the sums
-        absdev = np.abs(J - J.sum() / J.size)  # what J.std() and J.mean() compute, without their wrappers
-        abs_sum = absdev.sum()
+        # what J.std() and J.mean() compute, and the reductions their .sum() calls, without the wrappers
+        absdev = np.abs(J - np.add.reduce(J) / J.size)
+        abs_sum = np.add.reduce(absdev)
     if not abs_sum < 2.0**1023:  # overflowed, or 2 ** frexp below would: the same estimate of J
         if not np.isfinite(J).all():  # no scaling makes an inf or NaN sum finite: it would recurse forever
             raise ValueError("costs must be finite")
@@ -380,7 +412,7 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
         scale = 2.0 ** math.frexp(abs_sum)[1]
         absdev /= scale
     absdev *= absdev  # |d| * |d| has the bits of d * d
-    std = math.sqrt(absdev.sum() / J.size) * scale
+    std = math.sqrt(np.add.reduce(absdev) / J.size) * scale
     mad = float(abs_sum / J.size)
     new_max = max(sigma_max_running, mad)
     if std <= 0.0:  # new_max <= 0 means every deviation is 0, and so std too
@@ -443,7 +475,10 @@ def accel_update(
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
     sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH, partition_clusters(lnH))
-    theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
+    if sides is _BOTH_SIDES:  # the state's arrays themselves, not four views of them
+        theta, tilde = (state.mu, state.sigma), (state.tilde_mu, state.tilde_sigma)
+    else:
+        theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
     (mu, sigma), (t_mu, t_sigma) = agd_plus_step(theta, tilde, g_mu, g_sigma, state.a_i, state.A_i, a_next, A_next)
     fields = {"a_i": a_next, "A_i": A_next, "sigma_max_running": sigma_max}
     return _stepped(state, sides, mu=mu, sigma=sigma, tilde_mu=t_mu, tilde_sigma=t_sigma, **fields), s_i

@@ -25,6 +25,10 @@ from rkmpc.envs import (
 from rkmpc.solvers import SolverConfig, solve
 
 
+class SubArray(np.ndarray):
+    """An ndarray subclass, which rollout_batch takes as the ndarray it is."""
+
+
 def zero_env():
     return EnvSpec(
         name="zero",
@@ -138,6 +142,34 @@ class TestRolloutCost:
         zero_stage = dataclasses.replace(base, stage_cost=lambda x, u: np.zeros(x.shape[0]))
         assert np.isfinite(result.u).all()
         assert np.array_equal(rollout_batch(env, env.initial_state, u), rollout_batch(zero_stage, env.initial_state, u))
+
+    @pytest.mark.parametrize(
+        "dynamics",
+        [lambda x, u: (x + 0.1 * u).tolist(), lambda x, u: np.round(x + u).astype(np.int64),
+         lambda x, u: (x + 0.1 * u).view(SubArray)],
+        ids=["list", "int64", "subclass"],
+    )
+    def test_dynamics_output_converted_as_checked(self, dynamics):
+        # outputs other than a float64 ndarray of the state shape leave the inline
+        # test for _checked, which converts or keeps them as it does other outputs
+        env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=dynamics)
+        plain = dataclasses.replace(env, dynamics=lambda x, u: np.asarray(dynamics(x, u), dtype=float))
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 1, 4))
+        assert np.array_equal(rollout_batch(env, np.ones(1), u), rollout_batch(plain, np.ones(1), u))
+
+    @pytest.mark.parametrize(
+        "bad, got",
+        [
+            (lambda x, u: x.astype(complex), "dtype complex128"),
+            (lambda x, u: [[1j]] * x.shape[0], "list, not real numbers"),
+        ],
+        ids=["complex_array", "complex_list"],
+    )
+    def test_non_real_dynamics_output_rejected(self, bad, got):
+        # the inline test passes these to _checked (wrong shapes: test_wrong_output_shape_rejected)
+        env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=bad)
+        with pytest.raises(ValueError, match=re.escape(f"env.dynamics returned {got}")):
+            rollout_batch(env, np.zeros(1), np.zeros((5, 1, 4)))
 
     @pytest.mark.parametrize(
         "bad, got",
@@ -327,6 +359,29 @@ class TestBuiltinLandscapes:
         assert u[np.argmin(c), 0] == pytest.approx(0.3, abs=1e-3)
 
 
+def pendulum_reference():
+    """pendulum_swingup's callables as the one-line expressions they replaced."""
+    dt = DEFAULT_DT
+
+    def dynamics(x, u):
+        phi, omega = x[:, 0], x[:, 1]
+        out = np.empty(x.shape)
+        out[:, 0] = phi + dt * omega
+        out[:, 1] = omega + dt * (PENDULUM_GRAVITY * np.sin(phi) + u[:, 0])
+        return out
+
+    def wrap(phi):
+        return (phi + np.pi) % (2.0 * np.pi) - np.pi
+
+    def stage(x, u):
+        return wrap(x[:, 0]) ** 2 + 0.1 * x[:, 1] ** 2 + 0.001 * u[:, 0] ** 2
+
+    def terminal(x):
+        return 5.0 * (wrap(x[:, 0]) ** 2 + 0.1 * x[:, 1] ** 2)
+
+    return dynamics, stage, terminal
+
+
 class TestPendulum:
     def test_upright_fixed_point(self):
         env = make_env("pendulum_swingup")
@@ -353,6 +408,31 @@ class TestPendulum:
         # first-order integrator: drift scales with dt * |dE/dt|; frozen
         # empirical ceiling for this amplitude and dt = 0.1
         assert max(drifts) < 2.5
+
+    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("rows", [1, 7, 32, 4096])
+    def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows):
+        # the callables write into their own temporaries, with 0-d constants; each
+        # element must see the same IEEE operations as the plain expressions, signed
+        # zeros, angles of +-pi, an overflowing velocity and an infinite one included
+        rng = np.random.default_rng(rows)
+        x, u = rng.normal(0.0, 4.0, (rows, 2)), rng.uniform(-2.0, 2.0, (rows, 1))
+        x[::3, 0], x[1::3, 0], x[2::5, 0], x[::4, 1] = np.pi, -np.pi, -0.0, -0.0
+        x[3::6, 1], x[5::11, 1], x[4::13, 1], u[::2, 0] = 1e300, -1e200, np.inf, -0.0
+        if layout == "rollout":  # views of (dim, steps, rows) memory, every column contiguous
+            xs, us = np.empty((2, 3, rows)).transpose(1, 2, 0)[1], np.empty((1, 3, rows)).transpose(1, 2, 0)[1]
+            xs[:], us[:] = x, u
+            x, u = xs, us
+        before = x.copy(), u.copy()
+        env = make_env("pendulum_swingup")
+        dynamics, stage, terminal = pendulum_reference()
+        with np.errstate(all="ignore"):  # the infinite and overflowing rows
+            got = env.dynamics(x, u)
+            assert got.tobytes() == dynamics(x, u).tobytes()
+            assert all(got[:, j].flags.c_contiguous for j in range(2))  # the rollout's layout
+            assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
+            assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
+        assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])
 
 
 def reacher_reference():

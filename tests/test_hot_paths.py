@@ -22,7 +22,10 @@ to within 1e-12 of the `log_density` reference, and the rows
 `sample_batch` transforms in place whatever normals its `rng` returns: a
 Generator's fresh array, or the buffer a prefetching solve drew into
 beforehand.  Both give the bits of the reference expression, and
-`md_gradient` likewise works in its own gathered copy of the cluster.
+`md_gradient` likewise works in its own gathered copy of the cluster, which
+it gathers a second time into the same buffer rather than keep a second
+temporary of that size.  `_side_gradients` shares its core and is pinned to
+two `md_gradient` calls.
 
 The helpers every iteration calls on small arrays were trimmed of fixed
 costs, and each is pinned to the form it replaced: `partition_clusters` to
@@ -271,13 +274,21 @@ class TestMemoryPeak:
         assert peak_bytes(sample_batch, params, count, np.random.default_rng(0)) <= 1.1 * count * 1 * 50 * 8
 
     def test_md_gradient(self):
-        # the gathered cluster and one score temporary, in units of the cluster's (|C|, A, H)
+        # the gathered cluster, gathered again into the same buffer for the second sum,
+        # in units of the cluster's (|C|, A, H)
         params, u = case((1024, 2, 50))
         lnH = np.random.default_rng(3).normal(0.0, 2.0, u.shape[0])
         cluster = np.flatnonzero(lnH > 0.0)
         assert 400 <= cluster.size <= 624  # about half the batch
         peak = peak_bytes(md_gradient, params.mu, params.sigma, u, lnH, cluster)
-        assert peak <= 2.3 * cluster.size * 2 * 50 * 8
+        assert peak <= 1.3 * cluster.size * 2 * 50 * 8
+
+    def test_reverse_update(self):
+        # reverse's C+ is every candidate: one (N, A, H) buffer, not two (with two
+        # alive at once, malloc returned them to the system after every update and
+        # faulted them back in at the next iteration)
+        state, _, u, lnH, _ = two_sided_case((1024, 2, 50), "both_sides")
+        assert peak_bytes(reverse_update, state, u, lnH, 0.3) <= 1.3 * u.nbytes
 
     def test_log_density(self):
         params, u = case((4096, 1, 50))
@@ -429,6 +440,53 @@ class TestOneSidedStepBitIdentical:
         everyone = np.arange(shape[0])
         plus = ref_reverse_update(sides["plus"][0], u, lnH, 0.3, everyone) if lnH.any() else None
         self.check(state, sides, got, plus, (u, lnH), before)
+
+
+@pytest.mark.parametrize("shape", UPDATE_SHAPES + [(5, 1, 1), (2, 3, 4)])
+class TestSideGradients:
+    """_side_gradients gathers each side's weights once and shares md_gradient's
+    core: it must give two md_gradient calls' bits, theta+ over C+ with lnH and
+    theta- over C- with -lnH, for the sides whose cluster is not empty."""
+
+    @pytest.mark.parametrize("lnh_case", sorted(LNH_CASES))
+    def test_matches_two_md_gradient_calls(self, shape, lnh_case):
+        state, _, u, lnH, _ = two_sided_case(shape, lnh_case)
+        lnH[::7] = 0.0  # candidates in neither cluster
+        before = u.copy(), lnH.copy()
+        clusters = partition_clusters(lnH)
+        sides, g_mu, g_sigma = solvers._side_gradients(state, u, lnH, clusters)
+        live = [k for k in (0, 1) if clusters[k].size]
+        assert (sides.start, sides.stop) == ((live[0], live[-1] + 1) if live else (0, 0))
+        assert g_mu.shape == g_sigma.shape == (len(live),) + shape[1:]
+        for j, k in enumerate(live):
+            want = md_gradient(state.mu[k], state.sigma[k], u, -lnH if k else lnH, clusters[k])
+            assert same_bits(g_mu[j], want[0]) and same_bits(g_sigma[j], want[1]), k
+        assert same_bits(u, before[0]) and same_bits(lnH, before[1])
+
+    def test_md_gradient_takes_negative_indices(self, shape):
+        # a cluster may index from the end, as u_batch[cluster] does; the second
+        # gather must take the same rows as the first
+        params, u = case(shape)
+        lnH = np.random.default_rng(7).normal(0.0, 2.0, shape[0])
+        cluster = np.array([-1, 0, -shape[0]] + list(range(1 - shape[0], 0, 2)))
+        got = md_gradient(params.mu, params.sigma, u, lnH, cluster)
+        want = ref_md_gradient(params, u, lnH, cluster)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_random_clusters(self, shape):
+        # clusters drawn at random, each side's a subset in any order, one of them
+        # possibly a single candidate or empty
+        state, _, u, lnH, _ = two_sided_case(shape, "both_sides")
+        rng = np.random.default_rng(shape[0])
+        for trial in range(20):
+            sizes = rng.integers(0, shape[0] + 1, 2)
+            sizes[trial % 2] = min(sizes[trial % 2], trial % 3)  # 0, 1 or 2 candidates
+            clusters = tuple(rng.permutation(shape[0])[:size] for size in sizes)
+            _, g_mu, g_sigma = solvers._side_gradients(state, u, lnH, clusters)
+            live = [k for k in (0, 1) if clusters[k].size]
+            for j, k in enumerate(live):
+                want = md_gradient(state.mu[k], state.sigma[k], u, -lnH if k else lnH, clusters[k])
+                assert same_bits(g_mu[j], want[0]) and same_bits(g_sigma[j], want[1]), (trial, k)
 
 
 class TestPolicyParamsConstructions:

@@ -51,14 +51,51 @@ def test_iter_us_oversamples_4n_by_default():
     assert lines[3].endswith("actions identical"), lines[3]
 
 
-@pytest.mark.parametrize("flag", ["--pairs", "--steps", "--iterations"])
+@pytest.mark.parametrize("flag", ["--pairs", "--steps", "--iterations", "--horizon", "--n-oversample"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_iter_us_rejects_counts_below_one(flag, value):
-    # --pairs 0 used to die in np.percentile and --steps 0 in a division, after the export and warm-up
+    # --pairs 0 used to die in np.percentile and --steps 0 in a division, after the
+    # export and warm-up; --horizon 0 died in SolverConfig after the export
     cmd = [sys.executable, "tools/iter_us.py", "--base", "HEAD", flag, value]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert f"argument {flag}: must be >= 1, got {value}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1"], "argument --n: must be >= 2, got 1"),
+    (["--n", "8", "--n-oversample", "7"], "argument --n-oversample: must be >= --n (8), got 7"),
+    (["--env", "nope"], "argument --env: invalid choice: 'nope'"),
+    (["--variant", "nope"], "argument --variant: invalid choice: 'nope'"),
+], ids=["n_one", "oversample_below_n", "env", "variant"])
+def test_iter_us_rejects_bad_shapes_before_the_export(argv, message):
+    # each used to die with a traceback from SolverConfig or make_env, after the export;
+    # a --base that names no commit shows that nothing was exported first
+    cmd = [sys.executable, "tools/iter_us.py", "--base", "no-such-revision", *argv]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_iter_us_counts_calls_exactly():
+    # without a prefetch worker, a fixed-iteration episode makes the same calls on
+    # every run: each side counts the same in two runs, and with src as committed
+    # (as in CI) HEAD's two sides count the same
+    number = r"(\d+\.\d\d)"
+    side = rf"{number} Python \+ {number} C = {number}"
+    counts = []
+    for _ in range(2):
+        lines = iter_us("--variant", "accel", "--n", "4", "--n-oversample", "8", "--horizon", "3",
+                        "--iterations", "2", "--steps", "2", "--pairs", "1", "--calls")
+        got = re.fullmatch(rf"calls/iter on the calling thread: base {side}; head {side}", lines[4])
+        assert got, lines[4]
+        counts.append((got.groups()[:3], got.groups()[3:]))
+    assert counts[0] == counts[1]
+    (base, head), _ = counts
+    assert float(base[2]) > 0 and float(head[2]) > 0
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True)
+    if not status.stdout:  # src as committed
+        assert base == head
 
 
 def test_pairs_runs_head_against_head(tmp_path):
@@ -92,6 +129,13 @@ def test_pairs_runs_head_against_head(tmp_path):
             assert m[side]["median"] == m[side]["q1"] == m[side]["q3"] == got["value"]
     assert report["info"]["iters_per_step_mean"]["unit"] == "count"
     assert report["info"]["iters_per_step_mean"]["head"]["median"] >= 1
+    # what setup_s compiles: the size of src/rkmpc/*.py (the head is the working
+    # tree's) and the time compile() takes over it
+    assert report["info"]["source_bytes"]["unit"] == "bytes"
+    size = sum(len(path.read_bytes()) for path in (ROOT / "src" / "rkmpc").glob("*.py"))
+    assert report["info"]["source_bytes"]["head"]["median"] == size
+    assert report["info"]["compile_ms"]["unit"] == "ms"
+    assert all(report["info"]["compile_ms"][side]["median"] > 0 for side in ("base", "head"))
 
 
 def test_pairs_rejects_a_negative_seed(tmp_path):

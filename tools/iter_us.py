@@ -17,6 +17,18 @@ prefetch worker thread too) divided by its iterations.  The report gives each
 side's median and quartiles of time, its median faults, the ratio of the time
 medians, the pairs the head won (ties count for neither), and whether both
 sides chose the same actions bit for bit.
+
+With `--calls`, one more episode per side runs after the timed pairs, untimed,
+under `sys.setprofile`, and the report gives each side's Python and C calls per
+iteration on the calling thread: the "call" and "c_call" events, which count
+Python functions and builtins but not ufuncs or operators.  Without a
+prefetch worker (fewer than PREFETCH_MIN_NORMALS normals per iteration) the
+count repeats exactly for fixed-iteration solves, so it shows a change in
+dispatches as a count, free of the host's speed.
+
+`--n` below 2, `--n-oversample` below `--n`, `--horizon` below 1 and an
+unknown `--env` or `--variant` exit 2 with a message, before anything is
+exported.
 """
 
 from __future__ import annotations
@@ -77,12 +89,39 @@ def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
     return us, faults / iterations, np.concatenate(actions).tobytes()
 
 
-def positive(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def calls(lib, args, seed: int) -> tuple[float, float]:
+    """(Python calls, C calls) per iteration on this thread, over one episode."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    env, config = lib.make_env(args.env), config_of(lib, args)
+    x, state, iterations = env.initial_state, None, 0
+    sys.setprofile(profile)
+    try:
+        for step in range(args.steps):
+            result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
+            x = env.dynamics(x[None, :], result.u[None, :])[0]
+            iterations += result.iterations
+    finally:
+        sys.setprofile(None)
+    return counts["call"] / iterations, counts["c_call"] / iterations
+
+
+def at_least(low: int):
+    """An argparse type: an integer >= `low`."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return check
+
+
+positive = at_least(1)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,20 +132,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--env", default="pendulum_swingup")
-    parser.add_argument("--variant", default="accel")
-    parser.add_argument("--n", type=int, default=32, help="candidates N")
-    parser.add_argument("--n-oversample", type=int, default=None,
-                        help="oversampled candidates for reject and accel (default: SolverConfig's 4 * N)")
-    parser.add_argument("--horizon", type=int, default=12)
+    head = load("rkmpc_head", ROOT / "src")  # its names check --env and --variant
+    parser.add_argument("--env", default="pendulum_swingup", choices=sorted(head.envs.REGISTRY))
+    parser.add_argument("--variant", default="accel", choices=head.solvers.VARIANTS)
+    parser.add_argument("--n", type=at_least(2), default=32, help="candidates N")
+    parser.add_argument("--n-oversample", type=positive, default=None,
+                        help="oversampled candidates for reject and accel, >= N (default: SolverConfig's 4 * N)")
+    parser.add_argument("--horizon", type=positive, default=12)
     parser.add_argument("--iterations", type=positive, default=64, help="iterations per solve")
     parser.add_argument("--steps", type=positive, default=10, help="warm-started solves per episode")
     parser.add_argument("--pairs", type=positive, default=10)
+    parser.add_argument("--calls", action="store_true",
+                        help="also count each side's Python and C calls per iteration, in one untimed episode")
     args = parser.parse_args(argv)
+    if args.n_oversample is not None and args.n_oversample < args.n:
+        parser.error(f"argument --n-oversample: must be >= --n ({args.n}), got {args.n_oversample}")
 
     with tempfile.TemporaryDirectory(prefix="iter_us_") as tmp:
         export(args.base, Path(tmp))
-        sides = {"base": load("rkmpc_base", Path(tmp) / "src"), "head": load("rkmpc_head", ROOT / "src")}
+        sides = {"base": load("rkmpc_base", Path(tmp) / "src"), "head": head}
         for lib in sides.values():  # lazy set-up, outside the timed pairs
             episode(lib, args, seed=args.pairs)
         us = {name: [] for name in sides}
@@ -120,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                 us[name].append(t)
                 faults[name].append(f)
             same = same and actions["base"] == actions["head"]
+        counted = {name: calls(lib, args, seed=0) for name, lib in sides.items()} if args.calls else None
         n_oversample = config_of(sides["head"], args).n_oversample
 
     print(f"iter_us: {args.env} {args.variant} N={args.n} n_oversample={n_oversample} H={args.horizon}, "
@@ -132,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     ratio = quartiles(us["head"])[1] / quartiles(us["base"])[1]
     print(f"head/base {ratio:.3f}; head faster in {won} of {args.pairs} pairs; "
           f"actions {'identical' if same else 'DIFFER'}")
+    if counted:
+        print("calls/iter on the calling thread: " + "; ".join(
+            f"{name} {py:.2f} Python + {c:.2f} C = {py + c:.2f}" for name, (py, c) in counted.items()))
     return 0
 
 

@@ -24,6 +24,13 @@ ref_iter_ms, are kept too: each pair's values, as printed to 6 significant
 digits, under "info", and each side's median and quartiles under the
 report's "info", with their units and no direction.  A seed below 0 is
 rejected with the arguments, before any tree is exported.
+
+Since the runs do not write bytecode, every rtbench run compiles `rkmpc` from
+source, and longer source reads as a higher `setup_s`.  So each pair also
+records, per side under "info", `source_bytes`, the size of the tree's
+src/rkmpc/*.py, and `compile_ms`, the median of COMPILE_RUNS timed
+`compile()` passes over those files in this process, made right after that
+side's run.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +53,7 @@ from iter_us import export, positive, quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = ("src", "rtbench", "BENCHMARK.json")
+COMPILE_RUNS = 7
 
 
 def git(*argv: str) -> str:
@@ -79,6 +88,21 @@ def run(tree: Path, args, seed: int) -> dict:
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
         "info": {name: {"value": float(value), "unit": unit} for name, value, unit in info},
         "digest": digest.group(1) if digest else None,
+    }
+
+
+def source_info(tree: Path) -> dict:
+    """The size of `tree`'s src/rkmpc/*.py and the median time to compile them."""
+    sources = [(str(path), path.read_bytes()) for path in sorted((tree / "src" / "rkmpc").glob("*.py"))]
+    times = []
+    for _ in range(COMPILE_RUNS):
+        start = time.perf_counter()
+        for name, text in sources:
+            compile(text, name, "exec")
+        times.append(time.perf_counter() - start)
+    return {
+        "source_bytes": {"value": float(sum(len(text) for _, text in sources)), "unit": "bytes"},
+        "compile_ms": {"value": float(f"{np.median(times) * 1e3:.6g}"), "unit": "ms"},
     }
 
 
@@ -124,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run(trees[side], args, seed)
+                pair[side]["info"].update(source_info(trees[side]))
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['candidate_steps_per_ref_iter']:.6g}"
