@@ -72,18 +72,24 @@ def config_of(lib, args):
     )
 
 
-def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
-    """(us per iteration, minor faults per iteration, the episode's actions as
-    bytes) of one closed-loop episode."""
-    env, config = lib.make_env(args.env), config_of(lib, args)
+def closed_loop(lib, env, config, args, seed: int) -> tuple[list, int]:
+    """(actions, iterations) of one closed-loop episode of `args.steps` solves."""
     x, state, actions, iterations = env.initial_state, None, [], 0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
     for step in range(args.steps):
         result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
         x = env.dynamics(x[None, :], result.u[None, :])[0]
         actions.append(result.u)
         iterations += result.iterations
+    return actions, iterations
+
+
+def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
+    """(us per iteration, minor faults per iteration, the episode's actions as
+    bytes) of one closed-loop episode."""
+    env, config = lib.make_env(args.env), config_of(lib, args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    actions, iterations = closed_loop(lib, env, config, args, seed)
     us = (time.perf_counter() - start) * 1e6 / iterations
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return us, faults / iterations, np.concatenate(actions).tobytes()
@@ -98,13 +104,9 @@ def calls(lib, args, seed: int) -> tuple[float, float]:
             counts[event] += 1
 
     env, config = lib.make_env(args.env), config_of(lib, args)
-    x, state, iterations = env.initial_state, None, 0
     sys.setprofile(profile)
     try:
-        for step in range(args.steps):
-            result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
-            x = env.dynamics(x[None, :], result.u[None, :])[0]
-            iterations += result.iterations
+        _, iterations = closed_loop(lib, env, config, args, seed)
     finally:
         sys.setprofile(None)
     return counts["call"] / iterations, counts["c_call"] / iterations

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from iter_us import export, positive, quartiles
+from iter_us import at_least, export, positive, quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = ("src", "rtbench", "BENCHMARK.json")
@@ -106,14 +106,6 @@ def source_info(tree: Path) -> dict:
     }
 
 
-def nonnegative(text: str) -> int:
-    """An argparse type: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def summary_of(values: list[float]) -> dict:
     q1, med, q3 = quartiles(values)
     return {"median": med, "q1": q1, "q3": q3, "iqr_over_median": (q3 - q1) / med if med else None}
@@ -125,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=positive, default=10)
     parser.add_argument("--seconds", type=float, default=32.0, help="rtbench --seconds of every run")
-    parser.add_argument("--seed", type=nonnegative, default=1, help="seed of the first pair; pair i runs seed + i")
+    parser.add_argument("--seed", type=at_least(0), default=1, help="seed of the first pair; pair i runs seed + i")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
