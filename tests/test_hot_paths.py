@@ -473,6 +473,20 @@ class TestSideGradients:
         want = ref_md_gradient(params, u, lnH, cluster)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
+    @pytest.mark.parametrize("layout", ["fortran", "reversed", "permuted"])
+    def test_md_gradient_on_any_batch_layout(self, shape, layout):
+        # take gathers into C order, where u_batch[cluster] followed the batch's
+        # strides; both add the rows in the same order
+        params, u = case(shape)
+        u = {"fortran": np.asfortranarray(u), "reversed": u[::-1],
+             "permuted": u.transpose(0, 2, 1).copy().transpose(0, 2, 1)}[layout]
+        lnH = np.random.default_rng(8).normal(0.0, 2.0, shape[0])
+        lnH[0] = 1.0
+        cluster = np.flatnonzero(lnH > 0.0)
+        got = md_gradient(params.mu, params.sigma, u, lnH, cluster)
+        want = ref_md_gradient(params, u, lnH, cluster)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
     def test_random_clusters(self, shape):
         # clusters drawn at random, each side's a subset in any order, one of them
         # possibly a single candidate or empty
