@@ -118,14 +118,22 @@ class EnvSpec:
 BLOCK_ROWS = 8192
 
 
+_REAL_KINDS = "biuf"  # the dtype kinds a callable's ndarray output may have: bool, int, uint, float
+
+
 def _checked(name: str, out, shape: tuple) -> np.ndarray:
-    """`out` as an ndarray of `shape` with real entries (see EnvSpec), or ValueError naming env.`name`."""
+    """`out` as an ndarray of `shape` with real entries (see EnvSpec), or ValueError naming env.`name`.
+
+    rollout_batch inlines the test under which this returns `out` itself (an
+    ndarray of `shape` whose dtype kind is in _REAL_KINDS) for each dynamics
+    output; tests/test_envs.py checks that the two agree.
+    """
     if not isinstance(out, np.ndarray):
         try:
             out = np.asarray(out, dtype=float)
         except (TypeError, ValueError) as e:
             raise ValueError(f"env.{name} returned {type(out).__name__}, not real numbers: {e}") from None
-    elif out.dtype.kind not in "biuf":
+    elif out.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"env.{name} returned dtype {out.dtype}, expected real numbers")
     if out.shape != shape:
         raise ValueError(f"env.{name} returned shape {out.shape}, expected {shape}")
@@ -175,7 +183,7 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
         for k in range(steps):
             out = dynamics(x_at[k], u_at[start + k])
             # _checked's test inline: only an output to convert or reject pays for the call
-            if out.__class__ is not np.ndarray or out.shape != state_shape or out.dtype.kind not in "biuf":
+            if out.__class__ is not np.ndarray or out.shape != state_shape or out.dtype.kind not in _REAL_KINDS:
                 out = _checked("dynamics", out, state_shape)
             x_at[k + 1] = out
         rows = steps * n
@@ -306,14 +314,18 @@ def pendulum_swingup() -> EnvSpec:
     Max torque is well below m*g*l, so swing-up needs pumping.  State is
     [angle, angular velocity]; angle 0 with zero velocity and zero torque is
     a fixed point of the dynamics.  The callables compute in place, with the
-    bits of the plain expressions in their comments; dynamics returns the
-    column-contiguous layout rollout_batch keeps its states in.
+    bits of the plain expressions in their comments, for float64 states (as
+    rollout_batch keeps them) and actions of any real dtype; a state of
+    another dtype gives float64 results whose bits are not pinned.  dynamics
+    returns the column-contiguous layout rollout_batch keeps its states in.
     """
-    # The constants are 0-d float64 arrays: as a ufunc operand of a float64 array
-    # each gives the bits of the Python float, without the conversion numpy makes
-    # of a Python float on every call (about 0.2 us of a 0.6 us product at N = 32).
+    # The constants the states meet are 0-d float64 arrays: as a ufunc operand of a
+    # float64 array each gives the bits of the Python float, without the conversion
+    # numpy makes of a Python float on every call (about 0.2 us of a 0.6 us product
+    # at N = 32).  A float32 operand would be computed in float64 with them, so the
+    # action's one constant, in stage, stays a Python float.
     dt, gravity, pi, two_pi = _constants(DEFAULT_DT, PENDULUM_GRAVITY, np.pi, 2.0 * np.pi)
-    tenth, milli, five = _constants(0.1, 0.001, 5.0)
+    tenth, five = _constants(0.1, 5.0)
 
     # Each callable writes into its own temporaries, in place.  Every element sees
     # the operations of the plain expressions (phi + dt * omega, omega + dt * (g *
@@ -349,11 +361,9 @@ def pendulum_swingup() -> EnvSpec:
         cost += omega2
         return cost
 
-    def stage(x, u):
+    def stage(x, u):  # energy(x) + 0.001 * u ** 2, in u's dtype as the plain expression
         cost = energy(x)
-        effort = u[:, 0] * u[:, 0]
-        effort *= milli
-        cost += effort
+        cost += 0.001 * (u[:, 0] * u[:, 0])
         return cost
 
     def terminal(x):

@@ -85,7 +85,6 @@ PREFETCH_MIN_NORMALS = 32_768
 # A warm-start prev whose theta+- holds a |mu| or sigma above this is rejected.  From
 # a prev at 1e70 the updates overflowed; at 1e50 and 1e60 none did (see README).
 PREV_CEILING = 1e50
-_BOTH_SIDES = slice(0, 2)  # the `sides` of an update that steps theta+ and theta-
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,10 @@ def _cluster_gradient(mu, sigma, u_batch, cluster, neg_w, g_mu=None, g_sigma=Non
     after every update and faulted it back in at the next iteration (reverse
     at (1024, 2, 50) took about 370 minor faults per iteration, forward 8).
     Every element sees the operations of the two-temporary form, and each sum
-    adds the rows in the same order, so the bits are the same.
+    adds the rows in the same order, so the bits are the same.  The second
+    gather costs small batches what it saves large ones: at the swing-up's
+    N = 32, _side_gradients took 36.4 us against the two-temporary form's
+    33.4 (median of 40 interleaved timings), under 1% of an accel iteration.
     """
     n = cluster.size
     neg_w = neg_w[:, None, None]
@@ -279,14 +281,13 @@ def _side_gradients(state: SolverState, u_batch: np.ndarray, lnH: np.ndarray, cl
         if not k:
             np.negative(w, out=w)
         _cluster_gradient(state.mu[k], state.sigma[k], u_batch, clusters[k], w, g_mu[j], g_sigma[j])
-    sides = _BOTH_SIDES if len(live) == 2 else slice(live[0], live[0] + 1) if live else slice(0, 0)
-    return sides, g_mu, g_sigma
+    return (slice(live[0], live[-1] + 1) if live else slice(0, 0)), g_mu, g_sigma
 
 
 def _stepped(state: SolverState, sides: slice, **fields) -> SolverState:
     """replace(state, **fields), `carry` included; new policy arrays cover only
     `sides`, the other side keeps its values."""
-    if sides is not _BOTH_SIDES:  # an equal slice made elsewhere takes this path, to the same state
+    if sides != slice(0, 2):
         for name in fields.keys() & {"mu", "sigma", "tilde_mu", "tilde_sigma"}:
             full = getattr(state, name).copy()
             full[sides] = fields[name]
@@ -475,10 +476,7 @@ def accel_update(
     s_i, sigma_max = noise_strength(J, state.sigma_max_running)
     a_next, A_next = step_size_advance(state.a_i, state.A_i, s_i, config.alpha, config.gamma)
     sides, g_mu, g_sigma = _side_gradients(state, u_batch, lnH, partition_clusters(lnH))
-    if sides is _BOTH_SIDES:  # the state's arrays themselves, not four views of them
-        theta, tilde = (state.mu, state.sigma), (state.tilde_mu, state.tilde_sigma)
-    else:
-        theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
+    theta, tilde = (state.mu[sides], state.sigma[sides]), (state.tilde_mu[sides], state.tilde_sigma[sides])
     (mu, sigma), (t_mu, t_sigma) = agd_plus_step(theta, tilde, g_mu, g_sigma, state.a_i, state.A_i, a_next, A_next)
     fields = {"a_i": a_next, "A_i": A_next, "sigma_max_running": sigma_max}
     return _stepped(state, sides, mu=mu, sigma=sigma, tilde_mu=t_mu, tilde_sigma=t_sigma, **fields), s_i

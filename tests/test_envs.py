@@ -158,6 +158,38 @@ class TestRolloutCost:
         assert np.array_equal(rollout_batch(env, np.ones(1), u), rollout_batch(plain, np.ones(1), u))
 
     @pytest.mark.parametrize(
+        "dtype, kept",
+        [(np.float64, True), (np.float32, True), (np.float16, True), (np.int64, True), (np.uint8, True),
+         (np.bool_, True), ("subclass", False), ("list", False)],
+        ids=["float64", "float32", "float16", "int64", "uint8", "bool", "subclass", "list"],
+    )
+    def test_inline_dynamics_check_skips_only_what_checked_returns_as_is(self, monkeypatch, dtype, kept):
+        # rollout_batch inlines _checked's acceptance test for dynamics outputs: an
+        # output it does not pass to _checked must be one _checked returns as it is,
+        # and every exact ndarray of a real dtype and the state shape skips the call
+        import rkmpc.envs as envs
+
+        checked, outputs, passed = envs._checked, [], []
+
+        def dynamics(x, u):
+            out = np.abs(np.round(x + u))
+            out = out.view(SubArray) if dtype == "subclass" else out.tolist() if dtype == "list" else out.astype(dtype)
+            outputs.append(out)
+            return out
+
+        def spy(name, out, shape):
+            if name == "dynamics":
+                passed.append(out)
+            return checked(name, out, shape)
+
+        monkeypatch.setattr(envs, "_checked", spy)
+        env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=dynamics)
+        rollout_batch(env, np.ones(1), np.full((5, 1, 4), 0.5))
+        skipped = [out for out in outputs if not any(out is p for p in passed)]
+        assert all(checked("dynamics", out, (5, 1)) is out for out in skipped)
+        assert len(skipped) == (len(outputs) if kept else 0) and len(outputs) == 4
+
+    @pytest.mark.parametrize(
         "bad, got",
         [
             (lambda x, u: x.astype(complex), "dtype complex128"),
@@ -409,18 +441,23 @@ class TestPendulum:
         # empirical ceiling for this amplitude and dt = 0.1
         assert max(drifts) < 2.5
 
+    @pytest.mark.parametrize("action_dtype", [np.float64, np.float32, np.int64])
     @pytest.mark.parametrize("layout", ["c_order", "rollout"])
     @pytest.mark.parametrize("rows", [1, 7, 32, 4096])
-    def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows):
-        # the callables write into their own temporaries, with 0-d constants; each
-        # element must see the same IEEE operations as the plain expressions, signed
-        # zeros, angles of +-pi, an overflowing velocity and an infinite one included
+    def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows, action_dtype):
+        # the callables write into their own temporaries, with 0-d constants on the
+        # float64 states; each element must see the same IEEE operations as the plain
+        # expressions, signed zeros, angles of +-pi, an overflowing velocity and an
+        # infinite one included, and actions of any real dtype (rollout_batch keeps
+        # u_squashed's, so float32 actions must be squared and scaled in float32)
         rng = np.random.default_rng(rows)
         x, u = rng.normal(0.0, 4.0, (rows, 2)), rng.uniform(-2.0, 2.0, (rows, 1))
         x[::3, 0], x[1::3, 0], x[2::5, 0], x[::4, 1] = np.pi, -np.pi, -0.0, -0.0
         x[3::6, 1], x[5::11, 1], x[4::13, 1], u[::2, 0] = 1e300, -1e200, np.inf, -0.0
+        u = u.astype(action_dtype)
         if layout == "rollout":  # views of (dim, steps, rows) memory, every column contiguous
-            xs, us = np.empty((2, 3, rows)).transpose(1, 2, 0)[1], np.empty((1, 3, rows)).transpose(1, 2, 0)[1]
+            xs = np.empty((2, 3, rows)).transpose(1, 2, 0)[1]
+            us = np.empty((1, 3, rows), dtype=action_dtype).transpose(1, 2, 0)[1]
             xs[:], us[:] = x, u
             x, u = xs, us
         before = x.copy(), u.copy()
