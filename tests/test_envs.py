@@ -326,25 +326,57 @@ class TestBlockedRollout:
         assert J[0] == np.inf and np.isfinite(J[1:]).all()
         assert J.tobytes() == rollout_batch(explicit, env.initial_state, u).tobytes()
 
-    @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (600, 37, 3), (1024, 50, 7)])
-    def test_call_counts(self, n, horizon, blocks):
+    @pytest.mark.parametrize("name, n, horizon, blocks", [
+        pytest.param("pendulum_swingup", 32, 12, 1, id="32-12-1"),
+        pytest.param("pendulum_swingup", 600, 37, 3, id="600-37-3"),
+        pytest.param("pendulum_swingup", 1024, 50, 7, id="1024-50-7"),
+        # blocks of 8 steps, the last of 2
+        pytest.param("point_reacher", 1024, 50, 7, id="point_reacher-1024-50-7"),
+    ])
+    def test_call_counts(self, name, n, horizon, blocks):
         assert blocks == -(-horizon // max(1, BLOCK_ROWS // n))
-        base = make_env("pendulum_swingup")
+        base = make_env(name)
         calls = Counter()
+        advanced = []  # the steps of each advance call
 
-        def counted(name):
-            fn = getattr(base, name)
-
+        def counted(name, fn):
             def call(*args):
                 calls[name] += 1
+                if name == "advance":
+                    advanced.append(args[1].shape[0])
                 return fn(*args)
 
             return call
 
         names = ("dynamics", "stage_cost", "terminal_cost", "constraint")
-        env = dataclasses.replace(base, **{name: counted(name) for name in names})
-        rollout_batch(env, env.initial_state, np.zeros((n, 1, horizon)))
-        assert calls == {"dynamics": horizon, "stage_cost": blocks, "constraint": blocks, "terminal_cost": 1}
+        fields = {name: counted(name, getattr(base, name)) for name in names}
+        if hasattr(base.dynamics, "advance"):  # a dynamics with advance is never called itself
+            fields["dynamics"].advance = counted("advance", base.dynamics.advance)
+            stepped, expected = {"advance": blocks}, [8] * 6 + [2]
+        else:
+            stepped, expected = {"dynamics": horizon}, []
+        env = dataclasses.replace(base, **fields)
+        rollout_batch(env, env.initial_state, np.zeros((n, env.action_dim, horizon)))
+        assert calls == {**stepped, "stage_cost": blocks, "constraint": blocks, "terminal_cost": 1}
+        assert advanced == expected
+
+    def test_replaced_dynamics_is_stepped_instead_of_the_old_advance(self):
+        # advance belongs to the dynamics callable, so dataclasses.replace with
+        # another dynamics drops it: the new one runs once per step
+        base = make_env("point_reacher")
+        reference = reacher_reference()[0]
+        calls = []
+
+        def dynamics(x, u):
+            calls.append(x.shape)
+            return reference(x, u)
+
+        env = dataclasses.replace(base, dynamics=dynamics)
+        n, horizon = 300, 37
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2, horizon))
+        x0 = np.array([0.1, -0.2, 0.3, 0.05])
+        assert rollout_batch(env, x0, u).tobytes() == rollout_batch(base, x0, u).tobytes()
+        assert calls == [(n, 4)] * horizon
 
     @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (1024, 50, 7)])
     def test_every_column_the_callables_get_is_contiguous(self, n, horizon, blocks):
@@ -522,6 +554,47 @@ class TestPointReacher:
         assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])
 
 
+    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    @pytest.mark.parametrize("steps", [1, 2, 8])
+    def test_advance_has_the_bits_of_stepping_dynamics(self, steps, rows, layout):
+        # signed zeros, states on the goal, and inf and NaN entries in the
+        # start states and the actions, which then spread over later steps
+        rng = np.random.default_rng(100 * steps + rows)
+        x0, u = rng.normal(0.0, 2.0, (rows, 4)), rng.uniform(-1.0, 1.0, (steps, rows, 2))
+        x0[::3, 0], x0[1::3, 1], x0[::2, 2], u[:, ::2, 1] = 0.6, -0.4, -0.0, -0.0
+        x0[::5, 3], u[:, ::5, 0] = 0.0, 0.0
+        x0[1::4, 2], x0[2::4, 3], x0[3::6, 0] = np.inf, -np.inf, np.nan
+        u[-1, 1::4, 0], u[0, 2::5, 1] = -np.inf, np.nan
+        # one row past the block stays as it was: advance writes states[1:] alone
+        if layout == "rollout":  # a view of (dim, steps, rows) memory, as rollout_batch keeps it
+            buffer = np.full((4, steps + 2, rows), 7.0).transpose(1, 2, 0)
+            actions = np.empty((2, steps, rows)).transpose(1, 2, 0)
+            actions[:] = u
+        else:
+            buffer, actions = np.full((steps + 2, rows, 4), 7.0), u.copy()
+        buffer[0] = x0
+        states = buffer[: steps + 1]
+        env = make_env("point_reacher")
+        with np.errstate(invalid="ignore"):  # inf - inf
+            env.dynamics.advance(states, actions)
+            x = x0
+            for k in range(steps):
+                x = env.dynamics(x, u[k])
+                assert states[k + 1].tobytes() == x.tobytes()
+        assert states[0].tobytes() == x0.tobytes() and actions.tobytes() == u.tobytes()
+        assert np.array_equal(buffer[-1], np.full((rows, 4), 7.0))
+
+
+def _with_advance(advance):
+    """A dynamics callable carrying `advance` as its attribute."""
+    def dynamics(x, u):
+        return x
+
+    dynamics.advance = advance
+    return dynamics
+
+
 class TestEnvSpecChecks:
     @pytest.mark.parametrize(
         "fields, match",
@@ -551,9 +624,10 @@ class TestEnvSpecChecks:
             ({"stage_cost": 0.0}, "stage_cost must be callable, got 0.0"),
             ({"terminal_cost": None}, "terminal_cost must be callable, got None"),
             ({"constraint": None}, "constraint must be callable, got None"),
+            ({"dynamics": _with_advance(0.0)}, "dynamics.advance must be callable, got 0.0"),
         ],
         ids=["state_dim_float", "state_dim_bool", "action_dim_numpy_float", "action_dim_zero", "state_dim_zero",
-             "dynamics_none", "stage_cost_float", "terminal_cost_none", "constraint_none"],
+             "dynamics_none", "stage_cost_float", "terminal_cost_none", "constraint_none", "dynamics_advance_float"],
     )
     def test_bad_sizes_or_callables_rejected(self, fields, match):
         # each passed construction, then failed inside solve (TypeError, or ValueError from PolicyParams)

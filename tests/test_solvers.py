@@ -232,6 +232,41 @@ class TestReverseUpdate:
         assert out.mu[0, 0] == pytest.approx(0.1, rel=1e-12)
         assert out.sigma[0, 0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_hand_sigma_step_shrinks_a_tight_cluster(self):
+        # two candidates in C+, 0.4 and 0.3 from mu, both nearer than sigma = 0.8.
+        # By hand: g_mu = (1/2)(-1.5 * 0.4 - 0.5 * -0.3) / 0.64 = -0.3515625 and
+        # g_sigma = (1/2)(-1.5 * (0.16 - 0.64) - 0.5 * (0.09 - 0.64)) / 0.512 = 0.9716796875.
+        # The mirror point of sigma at its own scale is 0, so sigma' is the positive root
+        # of s'^2 - z s^2 s' - s^2 = 0 with z = -alpha * g_sigma, below sigma.
+        mu, sigma, alpha = 0.1, 0.8, 0.1
+        theta = params_1d(mu, sigma)
+        u, lnH = np.array([[[0.5]], [[-0.2]]]), np.array([1.5, 0.5])
+        g_mu, g_sigma = md_gradient(theta.mu, theta.sigma, u, lnH, np.array([0, 1]))
+        assert g_mu[0, 0] == pytest.approx(-0.3515625, rel=1e-15)
+        assert g_sigma[0, 0] == pytest.approx(0.9716796875, rel=1e-15)
+        z_mu, z_sigma = mirror_map(theta.mu, theta.sigma, theta.sigma)
+        mu_new, sigma_new = mirror_inverse(z_mu - alpha * g_mu, z_sigma - alpha * g_sigma, theta.sigma)
+        z = -alpha * 0.9716796875
+        closed = 0.5 * (sigma * sigma * z + math.sqrt((sigma * sigma * z) ** 2 + 4.0 * sigma * sigma))
+        assert sigma_new[0, 0] == pytest.approx(closed, rel=1e-14) and closed < sigma
+        assert mu_new[0, 0] == pytest.approx(mu + alpha * sigma * sigma * 0.3515625, rel=1e-14)
+        out = reverse_update(one_sided(theta), u, lnH, alpha).theta_plus
+        assert out.mu.tobytes() == mu_new.tobytes() and out.sigma.tobytes() == sigma_new.tobytes()
+
+    @pytest.mark.parametrize("env_name", ["overlap_trap", "pendulum_swingup"])
+    def test_beta_zero_mu_step_is_the_smoothed_forward_refit(self, env_name):
+        # at beta = 0, lnH is forward's weights, summing to N, and the mirror map at
+        # sigma_i = sigma gives mu' = mu + (alpha / N) sum lnH (u - mu) = (1 - alpha) mu
+        # + alpha mu*: one reverse iteration from the prior moves mu+ as forward's
+        # refit on the same batch does, to within rounding (sigma's steps differ)
+        env = make_env(env_name)
+        config = SolverConfig(max_iterations=1, weights=WeightConfig(beta=0.0))
+        _, reverse = solve(env, env.initial_state, config, "reverse", seed=3)
+        _, forward = solve(env, env.initial_state, config, "forward", seed=3)
+        assert not np.array_equal(reverse.mu[0], standard_prior(env.action_dim, config.horizon).mu)
+        np.testing.assert_allclose(reverse.mu[0], forward.mu[0], rtol=0,
+                                   atol=16 * np.spacing(np.abs(forward.mu[0]).max()))
+
     def test_trust_region_shrinks_with_alpha(self):
         rng = np.random.default_rng(7)
         theta = params_1d(0.0, 1.0)

@@ -98,6 +98,17 @@ def test_iter_us_counts_calls_exactly():
         assert base == head
 
 
+@pytest.mark.parametrize("argv, draws", [
+    # 1024 * 2 * 16 normals per iteration: a prefetching forward solve, one draw per iteration
+    (["--env", "point_reacher", "--variant", "forward", "--n", "1024", "--horizon", "16"], 4),
+    (["--variant", "accel", "--n", "4", "--n-oversample", "8", "--horizon", "3"], 0),
+], ids=["prefetching", "serial"])
+def test_iter_us_times_the_prefetch_draws(argv, draws):
+    lines = iter_us(*argv, "--iterations", "2", "--steps", "2", "--pairs", "1", "--waits")
+    side = rf"median \d+\.\d us over {draws} draws" if draws else "no draws"
+    assert re.fullmatch(rf"Prefetch.draw wait per iteration: base {side}; head {side}", lines[4]), lines[4]
+
+
 def test_pairs_runs_head_against_head(tmp_path):
     out = tmp_path / "pairs.json"
     tool("pairs.py", "--workload", "swingup_rt20", "--pairs", "1", "--seconds", "0", "--out", str(out))

@@ -26,6 +26,14 @@ prefetch worker (fewer than PREFETCH_MIN_NORMALS normals per iteration) the
 count repeats exactly for fixed-iteration solves, so it shows a change in
 dispatches as a count, free of the host's speed.
 
+With `--waits`, one more untimed episode per side runs after the timed
+pairs with `Prefetch.draw` timed, and the report gives each side's median
+time per call and the number of calls, one per iteration of a prefetching
+solve and none for a shape that does not prefetch.  That time is the calling
+thread's wait for the worker's draw (or its own draw, where none was made
+ahead), so a median near zero says the calling thread bounds the shape and
+a large one that the draw does.
+
 `--n` below 2, `--n-oversample` below `--n`, `--horizon` below 1 and an
 unknown `--env` or `--variant` exit 2 with a message, before anything is
 exported.
@@ -34,6 +42,7 @@ exported.
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import io
 import resource
@@ -112,6 +121,27 @@ def calls(lib, args, seed: int) -> tuple[float, float]:
     return counts["call"] / iterations, counts["c_call"] / iterations
 
 
+def draw_waits(lib, args, seed: int) -> list[float]:
+    """The us of each `Prefetch.draw` call on this thread, over one episode."""
+    prefetch = importlib.import_module(f"{lib.__name__}.prefetch")
+    draw, waits = prefetch.Prefetch.draw, []
+
+    def timed(self, *argv):
+        start = time.perf_counter()
+        try:
+            return draw(self, *argv)
+        finally:
+            waits.append((time.perf_counter() - start) * 1e6)
+
+    env, config = lib.make_env(args.env), config_of(lib, args)
+    prefetch.Prefetch.draw = timed
+    try:
+        closed_loop(lib, env, config, args, seed)
+    finally:
+        prefetch.Prefetch.draw = draw
+    return waits
+
+
 def at_least(low: int):
     """An argparse type: an integer >= `low`."""
     def check(text: str) -> int:
@@ -146,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=positive, default=10)
     parser.add_argument("--calls", action="store_true",
                         help="also count each side's Python and C calls per iteration, in one untimed episode")
+    parser.add_argument("--waits", action="store_true",
+                        help="also time each side's Prefetch.draw calls, in one untimed episode")
     args = parser.parse_args(argv)
     if args.n_oversample is not None and args.n_oversample < args.n:
         parser.error(f"argument --n-oversample: must be >= --n ({args.n}), got {args.n_oversample}")
@@ -167,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 faults[name].append(f)
             same = same and actions["base"] == actions["head"]
         counted = {name: calls(lib, args, seed=0) for name, lib in sides.items()} if args.calls else None
+        waited = {name: draw_waits(lib, args, seed=0) for name, lib in sides.items()} if args.waits else None
         n_oversample = config_of(sides["head"], args).n_oversample
 
     print(f"iter_us: {args.env} {args.variant} N={args.n} n_oversample={n_oversample} H={args.horizon}, "
@@ -182,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     if counted:
         print("calls/iter on the calling thread: " + "; ".join(
             f"{name} {py:.2f} Python + {c:.2f} C = {py + c:.2f}" for name, (py, c) in counted.items()))
+    if waited:
+        print("Prefetch.draw wait per iteration: " + "; ".join(
+            f"{name} median {np.median(w):.1f} us over {len(w)} draws" if w else f"{name} no draws"
+            for name, w in waited.items()))
     return 0
 
 
