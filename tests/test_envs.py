@@ -326,15 +326,18 @@ class TestBlockedRollout:
         assert J[0] == np.inf and np.isfinite(J[1:]).all()
         assert J.tobytes() == rollout_batch(explicit, env.initial_state, u).tobytes()
 
-    @pytest.mark.parametrize("name, n, horizon, blocks", [
-        pytest.param("pendulum_swingup", 32, 12, 1, id="32-12-1"),
-        pytest.param("pendulum_swingup", 600, 37, 3, id="600-37-3"),
-        pytest.param("pendulum_swingup", 1024, 50, 7, id="1024-50-7"),
-        # blocks of 8 steps, the last of 2
-        pytest.param("point_reacher", 1024, 50, 7, id="point_reacher-1024-50-7"),
+    # the steps of each block: max(1, BLOCK_ROWS // n) steps, the last block the rest
+    @pytest.mark.parametrize("name, n, horizon, sizes", [
+        pytest.param("pendulum_swingup", 32, 12, [12], id="32-12-1"),
+        pytest.param("pendulum_swingup", 600, 37, [13, 13, 11], id="600-37-3"),
+        pytest.param("pendulum_swingup", 1024, 50, [8] * 6 + [2], id="1024-50-7"),
+        pytest.param("point_reacher", 1024, 50, [8] * 6 + [2], id="point_reacher-1024-50-7"),
+        pytest.param("overlap_trap", 600, 37, [13, 13, 11], id="overlap_trap-600-37-3"),
     ])
-    def test_call_counts(self, name, n, horizon, blocks):
-        assert blocks == -(-horizon // max(1, BLOCK_ROWS // n))
+    def test_call_counts(self, name, n, horizon, sizes):
+        block = max(1, BLOCK_ROWS // n)
+        assert sizes == [min(block, horizon - start) for start in range(0, horizon, block)]
+        blocks = len(sizes)
         base = make_env(name)
         calls = Counter()
         advanced = []  # the steps of each advance call
@@ -352,7 +355,7 @@ class TestBlockedRollout:
         fields = {name: counted(name, getattr(base, name)) for name in names}
         if hasattr(base.dynamics, "advance"):  # a dynamics with advance is never called itself
             fields["dynamics"].advance = counted("advance", base.dynamics.advance)
-            stepped, expected = {"advance": blocks}, [8] * 6 + [2]
+            stepped, expected = {"advance": blocks}, sizes
         else:
             stepped, expected = {"dynamics": horizon}, []
         env = dataclasses.replace(base, **fields)
@@ -363,20 +366,22 @@ class TestBlockedRollout:
     def test_replaced_dynamics_is_stepped_instead_of_the_old_advance(self):
         # advance belongs to the dynamics callable, so dataclasses.replace with
         # another dynamics drops it: the new one runs once per step
-        base = make_env("point_reacher")
-        reference = reacher_reference()[0]
-        calls = []
+        for base, reference, x0 in [
+            (make_env("point_reacher"), reacher_reference()[0], np.array([0.1, -0.2, 0.3, 0.05])),
+            (make_env("pendulum_swingup"), pendulum_reference()[0], np.array([3.0, -0.4])),
+        ]:
+            calls = []
 
-        def dynamics(x, u):
-            calls.append(x.shape)
-            return reference(x, u)
+            def dynamics(x, u):
+                calls.append(x.shape)
+                return reference(x, u)
 
-        env = dataclasses.replace(base, dynamics=dynamics)
-        n, horizon = 300, 37
-        u = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2, horizon))
-        x0 = np.array([0.1, -0.2, 0.3, 0.05])
-        assert rollout_batch(env, x0, u).tobytes() == rollout_batch(base, x0, u).tobytes()
-        assert calls == [(n, 4)] * horizon
+            env = dataclasses.replace(base, dynamics=dynamics)
+            n, horizon = 300, 37
+            low, high = env.action_low[:, None], env.action_high[:, None]
+            u = np.random.default_rng(5).uniform(low, high, (n, env.action_dim, horizon))
+            assert rollout_batch(env, x0, u).tobytes() == rollout_batch(base, x0, u).tobytes()
+            assert calls == [(n, env.state_dim)] * horizon
 
     @pytest.mark.parametrize("n, horizon, blocks", [(32, 12, 1), (1024, 50, 7)])
     def test_every_column_the_callables_get_is_contiguous(self, n, horizon, blocks):
@@ -446,6 +451,11 @@ def pendulum_reference():
     return dynamics, stage, terminal
 
 
+def canonical_nans(a):
+    """`a` with every NaN replaced by np.nan, so that only the NaNs' places compare."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
 class TestPendulum:
     def test_upright_fixed_point(self):
         env = make_env("pendulum_swingup")
@@ -502,6 +512,42 @@ class TestPendulum:
             assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
             assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
         assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])
+
+    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("rows", [1, 7, 32, 1024])
+    @pytest.mark.parametrize("steps", [1, 2, 8, 13])
+    def test_advance_has_the_bits_of_stepping_dynamics(self, steps, rows, layout):
+        # angles of +-pi, +-0.0 and 1e6, signed-zero velocities, and inf and NaN
+        # entries in the start states and the actions, which then spread over later
+        # steps.  Against dynamics the bytes are compared, NaN signs included;
+        # against the plain expressions only the NaNs' places, since a sum of two
+        # NaNs keeps its first operand's sign and dynamics adds omega last
+        rng = np.random.default_rng(100 * steps + rows)
+        x0, u = rng.normal(0.0, 4.0, (rows, 2)), rng.uniform(-2.0, 2.0, (steps, rows, 1))
+        x0[::3, 0], x0[1::3, 0], x0[2::5, 0], x0[4::7, 0], x0[5::9, 0] = np.pi, -np.pi, -0.0, 0.0, 1e6
+        x0[::4, 1], x0[2::8, 1], u[:, ::2, 0] = -0.0, 0.0, -0.0
+        x0[1::4, 1], x0[2::4, 0], x0[3::6, 1], x0[6::10, 0] = np.inf, -np.inf, np.nan, np.nan
+        u[-1, 1::4, 0], u[0, 2::5, 0] = -np.inf, np.nan
+        # one row past the block stays as it was: advance writes states[1:] alone
+        if layout == "rollout":  # a view of (dim, steps, rows) memory, as rollout_batch keeps it
+            buffer = np.full((2, steps + 2, rows), 7.0).transpose(1, 2, 0)
+            actions = np.empty((1, steps, rows)).transpose(1, 2, 0)
+            actions[:] = u
+        else:
+            buffer, actions = np.full((steps + 2, rows, 2), 7.0), u.copy()
+        buffer[0] = x0
+        states = buffer[: steps + 1]
+        env = make_env("pendulum_swingup")
+        reference = pendulum_reference()[0]
+        with np.errstate(invalid="ignore", over="ignore"):  # sin(inf), inf - inf
+            env.dynamics.advance(states, actions)
+            x = x0
+            for k in range(steps):
+                x = env.dynamics(x, u[k])
+                assert states[k + 1].tobytes() == x.tobytes()
+                assert canonical_nans(x).tobytes() == canonical_nans(reference(states[k], u[k])).tobytes()
+        assert states[0].tobytes() == x0.tobytes() and actions.tobytes() == u.tobytes()
+        assert np.array_equal(buffer[-1], np.full((rows, 2), 7.0))
 
 
 def reacher_reference():

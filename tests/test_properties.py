@@ -1,5 +1,6 @@
 """Property tests of the paper's identities over extreme scales (hypothesis)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkmpc.envs import make_env
+from rkmpc.envs import REGISTRY, make_env, rollout_batch
 from rkmpc.policy import SIGMA_FLOOR, PolicyParams, _check_values, mirror_inverse, mirror_map, squash
 from rkmpc.solvers import PREV_CEILING, VARIANTS, SolverConfig, SolverState, forward_update, noise_strength, solve
 from rkmpc.weights import WeightConfig, forward_weights, signed_log_weights
@@ -265,3 +266,31 @@ def test_forward_update_has_the_broadcast_refits_bits(n, a, h, weight_kind, log_
     mu, sigma = ref_forward_update(prior, u, w, 0.3)
     assert same_bits(got.mu[0] + 0.0, mu + 0.0)
     assert same_bits(got.sigma[0] + 0.0, sigma + 0.0)
+
+
+ADVANCED_ENVS = sorted(name for name in REGISTRY if hasattr(make_env(name).dynamics, "advance"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(ADVANCED_ENVS),
+    n=st.integers(1, 700),
+    h=st.integers(1, 40),
+    x_t=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# blocks of 11 steps ending in 7, one block of the whole horizon, and angles of
+# +-pi and beyond it
+@example(name="pendulum_swingup", n=700, h=40, x_t=[np.pi, -0.0, 0.0, 0.0], seed=0)
+@example(name="pendulum_swingup", n=1, h=40, x_t=[-7.5, 3.0, 0.0, 0.0], seed=1)
+@example(name="point_reacher", n=700, h=40, x_t=[-np.pi, 20.0, 0.6, -0.4], seed=2)
+def test_advance_gives_the_bits_of_stepping_dynamics(name, n, h, x_t, seed):
+    # the registered env rolls each block forward with dynamics.advance; the same
+    # env with a plain wrapper of its dynamics (no advance) steps it once per step
+    env = make_env(name)
+    stepped = dataclasses.replace(env, dynamics=lambda x, u: env.dynamics(x, u))
+    assert ADVANCED_ENVS == ["pendulum_swingup", "point_reacher"]
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(env.action_low[:, None], env.action_high[:, None], (n, env.action_dim, h))
+    x0 = np.array(x_t[: env.state_dim])
+    assert rollout_batch(env, x0, u).tobytes() == rollout_batch(stepped, x0, u).tobytes()
