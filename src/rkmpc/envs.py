@@ -43,6 +43,13 @@ def _check_integers(values: dict[str, object]) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_reals(values: dict[str, object]) -> None:
+    """Reject any value that is not a real number (numpy's floats and integers are; bool is not), by name."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _no_constraint(x, u):
     return np.full(x.shape[0], -1.0)
 
@@ -63,7 +70,8 @@ class EnvSpec:
     is the one callable that may write, and only into states[1:]; no other
     may write to its inputs.  It belongs to the callable, not to the EnvSpec,
     so an EnvSpec given another dynamics (by `dataclasses.replace` too) steps
-    that one.
+    that one.  point_reacher and pendulum_swingup write their step once, as
+    advance, and their dynamics is one step of it (see _one_step).
     A rollout passes views whose every column is contiguous, not C-contiguous
     arrays (advance's every step and column); an output made with
     np.empty_like(x) keeps that layout, and any other is copied into it.
@@ -81,7 +89,7 @@ class EnvSpec:
     and a dynamics.advance that is set are callable, action_low and
     action_high are finite (action_dim,) arrays with low < high in every
     dimension, initial_state has shape (state_dim,), and constraint_penalty
-    is finite and >= 0; a bad field raises ValueError naming it at
+    is a finite real number >= 0; a bad field raises ValueError naming it at
     construction, `dataclasses.replace` included.  The three array fields
     are stored as float arrays, so they may be given as lists.
     """
@@ -119,6 +127,7 @@ class EnvSpec:
             raise ValueError("action_low must be < action_high in every dimension")
         if self.initial_state.shape != (self.state_dim,):
             raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {self.initial_state.shape}")
+        _check_reals({"constraint_penalty": self.constraint_penalty})
         if not 0.0 <= self.constraint_penalty < np.inf:  # NaN makes every rollout diverged
             raise ValueError(f"constraint_penalty must be finite and >= 0, got {self.constraint_penalty}")
 
@@ -132,22 +141,14 @@ class EnvSpec:
 BLOCK_ROWS = 8192
 
 
-_REAL_KINDS = "biuf"  # the dtype kinds a callable's ndarray output may have: bool, int, uint, float
-
-
 def _checked(name: str, out, shape: tuple) -> np.ndarray:
-    """`out` as an ndarray of `shape` with real entries (see EnvSpec), or ValueError naming env.`name`.
-
-    _step_each inlines the test under which this returns `out` itself (an
-    ndarray of `shape` whose dtype kind is in _REAL_KINDS) for each dynamics
-    output; tests/test_envs.py checks that the two agree.
-    """
+    """`out` as an ndarray of `shape` with real entries (see EnvSpec), or ValueError naming env.`name`."""
     if not isinstance(out, np.ndarray):
         try:
             out = np.asarray(out, dtype=float)
         except (TypeError, ValueError) as e:
             raise ValueError(f"env.{name} returned {type(out).__name__}, not real numbers: {e}") from None
-    elif out.dtype.kind not in _REAL_KINDS:
+    elif out.dtype.kind not in "biuf":  # bool, int, uint, float
         raise ValueError(f"env.{name} returned dtype {out.dtype}, expected real numbers")
     if out.shape != shape:
         raise ValueError(f"env.{name} returned shape {out.shape}, expected {shape}")
@@ -157,13 +158,8 @@ def _checked(name: str, out, shape: tuple) -> np.ndarray:
 def _step_each(dynamics: Callable, states: np.ndarray, actions: np.ndarray) -> None:
     """The block stepper of a dynamics without `advance` (see EnvSpec): fills
     states[1:] with one dynamics call per step, each output checked."""
-    state_shape = states.shape[1:]
     for k in range(actions.shape[0]):
-        out = dynamics(states[k], actions[k])
-        # _checked's test inline: only an output to convert or reject pays for the call
-        if out.__class__ is not np.ndarray or out.shape != state_shape or out.dtype.kind not in _REAL_KINDS:
-            out = _checked("dynamics", out, state_shape)
-        states[k + 1] = out
+        states[k + 1] = _checked("dynamics", dynamics(states[k], actions[k]), states.shape[1:])
 
 
 def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.ndarray:
@@ -184,12 +180,14 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     all rows instead of one of length 2 per row.
     Outputs made with np.empty_like(x) keep that layout; see EnvSpec for the
     one case (row sums over 8 or more columns) whose bits follow the layout.
-    A u_squashed other than (N, env.action_dim, H) or an x_t other than
-    (env.state_dim,) raises ValueError, and so does a callable's output of
-    the wrong shape or of a non-real dtype (EnvSpec states the rule).  A
-    diverged candidate (non-finite cost or state) is marked J = +inf; what it
-    costs is decided by the solver, so J never depends on the batch.
+    A u_squashed that is not an ndarray is converted by np.asarray, with no
+    dtype forced.  One of a shape other than (N, env.action_dim, H) or an
+    x_t other than (env.state_dim,) raises ValueError, and so does a callable's output of the wrong shape or of a
+    non-real dtype (EnvSpec states the rule).  A diverged candidate
+    (non-finite cost or state) is marked J = +inf; what it costs is decided
+    by the solver, so J never depends on the batch.
     """
+    u_squashed = u_squashed if u_squashed.__class__ is np.ndarray else np.asarray(u_squashed)  # no call for an ndarray
     if u_squashed.ndim != 3 or u_squashed.shape[1] != env.action_dim:
         raise ValueError(f"u_squashed must have shape (N, {env.action_dim}, H), got {u_squashed.shape}")
     if np.shape(x_t) != (env.state_dim,):
@@ -202,9 +200,7 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     x_at = np.empty((env.state_dim, min(block, horizon) + 1, n)).transpose(1, 2, 0)  # one block of states
     x_at[0] = x_t
     J = np.zeros(n)
-    advance = getattr(env.dynamics, "advance", None)
-    if advance is None:
-        advance = partial(_step_each, env.dynamics)
+    advance = getattr(env.dynamics, "advance", None) or partial(_step_each, env.dynamics)
     steps = 0
     for start in range(0, horizon, block):
         if steps:  # the next block starts from the last block's final state
@@ -272,6 +268,21 @@ def overlap_trap_cost(u: np.ndarray) -> np.ndarray:
     return base + OVERLAP_BAD_COST * (np.abs(u - OVERLAP_BAD_CENTER) < OVERLAP_BAD_HALFWIDTH)
 
 
+def _one_step(advance: Callable) -> Callable:
+    """The dynamics that is one step of `advance`, which it carries as its
+    attribute, so an env writes its step once: x is copied into row 0 of a
+    float64 block of two states, laid out as rollout_batch keeps its states,
+    and row 1 is returned, in that column-contiguous layout."""
+    def dynamics(x, u):
+        states = np.empty((x.shape[1], 2, x.shape[0])).transpose(1, 2, 0)
+        states[0] = x
+        advance(states, u[None])
+        return states[1]
+
+    dynamics.advance = advance
+    return dynamics
+
+
 def point_reacher() -> EnvSpec:
     """2-D point mass accelerating toward a goal; unimodal quadratic cost."""
     goal = np.array([0.6, -0.4])
@@ -280,20 +291,11 @@ def point_reacher() -> EnvSpec:
     # Each callable writes into its own outputs and temporaries, in place.  Every
     # element sees the operations of the plain expressions (x + dt * v, d0 * d0 +
     # d1 * d1, ...), reordered only where IEEE addition and products commute.
-    def dynamics(x, u):
-        out = np.empty_like(x)  # keeps the rollout's column-contiguous layout
-        pos, vel = out[:, :2], out[:, 2:]
-        np.multiply(x[:, 2:], dt, out=pos)
-        pos += x[:, :2]
-        np.multiply(u, dt, out=vel)
-        vel += x[:, 2:]
-        return out
-
-    # A block of steps in 4 array operations and one += per step and column pair:
-    # vel' = dt * u + vel over every step, then pos' = dt * vel + pos, the operations
-    # dynamics makes, in its order.  np.add.accumulate along the step axis gives the
-    # same bits, but runs its inner loop along that short axis: a rollout at
-    # (1024, 2, 50) took 1377-1444 us with it, against 519-534 us this way.
+    # advance takes a block of steps in 4 array operations and one += per step and
+    # column pair: vel' = dt * u + vel over every step, then pos' = dt * vel + pos.
+    # np.add.accumulate along the step axis gives the same bits, but runs its inner
+    # loop along that short axis: a rollout at (1024, 2, 50) took 1377-1444 us with
+    # it, against 519-534 us this way.
     def advance(states, actions):
         pos, vel = states[:, :, :2], states[:, :, 2:]
         np.multiply(actions, dt, out=vel[1:])
@@ -302,8 +304,6 @@ def point_reacher() -> EnvSpec:
         np.multiply(vel[:-1], dt, out=pos[1:])
         for j in range(actions.shape[0]):
             pos[j + 1] += pos[j]
-
-    dynamics.advance = advance
 
     # squares written out: a .sum(axis=1) over a length-2 axis is 6x slower
     def sq_dist(x):
@@ -331,7 +331,7 @@ def point_reacher() -> EnvSpec:
         action_dim=2,
         action_low=np.array([-1.0, -1.0]),
         action_high=np.array([1.0, 1.0]),
-        dynamics=dynamics,
+        dynamics=_one_step(advance),
         stage_cost=stage,
         terminal_cost=terminal,
         initial_state=np.zeros(4),
@@ -358,13 +358,13 @@ def pendulum_swingup() -> EnvSpec:
     a fixed point of the dynamics.  The callables compute in place, with the
     bits of the plain expressions in their comments (NaN signs aside), for
     float64 states (as rollout_batch keeps them) and actions of any real
-    dtype; a state of another dtype gives float64 results whose bits are not
-    pinned.  dynamics returns the column-contiguous layout rollout_batch keeps
-    its states in.
-    dynamics.advance fills a block of states with the bits of stepping
-    dynamics: the same operations in the same operand order, and sin writes
-    into a contiguous temporary as dynamics' does, so numpy runs the same sin
-    loop (a strided output may take another one, whose bits are not pinned).
+    dtype.  dynamics is one step of dynamics.advance (see _one_step), so it
+    computes a state of another dtype as its float64 copy; stage and
+    terminal give such a state float64 results whose bits are not pinned.
+    advance writes each step straight into the block of states, and sin
+    writes into a contiguous temporary as the plain np.sin(phi) does into a
+    fresh array, so numpy runs the same sin loop (a strided output may take
+    another one, whose bits are not pinned).
     """
     # The constants the states meet are 0-d float64 arrays: as a ufunc operand of a
     # float64 array each gives the bits of the Python float, without the conversion
@@ -379,28 +379,10 @@ def pendulum_swingup() -> EnvSpec:
     # sin(phi) + u), wrap(phi) ** 2 + 0.1 * omega ** 2 + ...), reordered only where
     # IEEE addition and products commute; a ** 2 is a * a.  They commute in value
     # only: a sum of two NaNs takes its first operand's sign, so such a NaN's sign
-    # may differ from the plain expression's.
-    def dynamics(x, u):
-        # one (2, N) temporary of contiguous rows, returned as its (N, 2) transpose,
-        # whose columns are contiguous as rollout_batch's are: every operation runs
-        # one 1-D loop, and sin writes contiguous memory as it did into a fresh array
-        phi, omega = x[:, 0], x[:, 1]
-        d = np.empty((2, x.shape[0]))
-        next_phi, next_omega = d[0], d[1]
-        np.multiply(omega, dt, out=next_phi)
-        next_phi += phi
-        np.sin(phi, out=next_omega)
-        next_omega *= gravity
-        next_omega += u[:, 0]
-        next_omega *= dt
-        next_omega += omega
-        return d.T
-
-    # A block of steps with dynamics' operations, in its operand order, written
+    # may differ from the plain expression's.  advance writes a block of steps
     # straight into the state block: 7 ufunc calls per step and one (N,) temporary
-    # per block, against dynamics' allocation, transposed copy and output check.
-    # zip yields each step's row views from C: indexing them (phi[j + 1], ...) took
-    # a (32, 12) block 44-45 us against 37 us.
+    # per block.  zip yields each step's row views from C: indexing them
+    # (phi[j + 1], ...) took a (32, 12) block 44-45 us against 37 us.
     def advance(states, actions):
         phi, omega = states[:, :, 0], states[:, :, 1]
         t = np.empty(states.shape[1])
@@ -412,8 +394,6 @@ def pendulum_swingup() -> EnvSpec:
             t += u
             t *= dt
             np.add(t, omega0, out=omega1)
-
-    dynamics.advance = advance
 
     def sq_wrapped(phi):  # wrap(phi) ** 2, with wrap(phi) = (phi + pi) % 2pi - pi
         w = phi + pi
@@ -445,7 +425,7 @@ def pendulum_swingup() -> EnvSpec:
         action_dim=1,
         action_low=np.array([-PENDULUM_TORQUE]),
         action_high=np.array([PENDULUM_TORQUE]),
-        dynamics=dynamics,
+        dynamics=_one_step(advance),
         stage_cost=stage,
         terminal_cost=terminal,
         initial_state=np.array([np.pi, 0.0]),

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .envs import EnvSpec, _check_integers, rollout_batch
+from .envs import EnvSpec, _check_integers, _check_reals, rollout_batch
 from .policy import (
     LOG_2PI,
     SIGMA_FLOOR,
@@ -107,6 +107,7 @@ class SolverConfig:
             object.__setattr__(self, "n_oversample", 4 * self.n_candidates)
         sizes = ("n_candidates", "n_oversample", "horizon", "max_iterations")
         _check_integers({name: getattr(self, name) for name in sizes})
+        _check_reals({name: getattr(self, name) for name in ("alpha", "gamma", "eta", "kappa", "deadline")})
         if self.n_candidates < 2:
             raise ValueError(f"need n_candidates >= 2, got {self.n_candidates}")
         if self.n_oversample < self.n_candidates:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import _check_reals
+
 BACKENDS = ("cem", "mppi")
 
 
@@ -27,6 +29,7 @@ class WeightConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
+        _check_reals({name: getattr(self, name) for name in ("quantile", "temperature", "beta")})
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
         if not (self.temperature > 0.0 and math.isfinite(self.temperature)):  # inf weighs every cost alike

@@ -150,44 +150,12 @@ class TestRolloutCost:
         ids=["list", "int64", "subclass"],
     )
     def test_dynamics_output_converted_as_checked(self, dynamics):
-        # outputs other than a float64 ndarray of the state shape leave the inline
-        # test for _checked, which converts or keeps them as it does other outputs
+        # _checked converts or keeps dynamics outputs other than a float64 ndarray of
+        # the state shape as it does other outputs
         env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=dynamics)
         plain = dataclasses.replace(env, dynamics=lambda x, u: np.asarray(dynamics(x, u), dtype=float))
         u = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 1, 4))
         assert np.array_equal(rollout_batch(env, np.ones(1), u), rollout_batch(plain, np.ones(1), u))
-
-    @pytest.mark.parametrize(
-        "dtype, kept",
-        [(np.float64, True), (np.float32, True), (np.float16, True), (np.int64, True), (np.uint8, True),
-         (np.bool_, True), ("subclass", False), ("list", False)],
-        ids=["float64", "float32", "float16", "int64", "uint8", "bool", "subclass", "list"],
-    )
-    def test_inline_dynamics_check_skips_only_what_checked_returns_as_is(self, monkeypatch, dtype, kept):
-        # rollout_batch inlines _checked's acceptance test for dynamics outputs: an
-        # output it does not pass to _checked must be one _checked returns as it is,
-        # and every exact ndarray of a real dtype and the state shape skips the call
-        import rkmpc.envs as envs
-
-        checked, outputs, passed = envs._checked, [], []
-
-        def dynamics(x, u):
-            out = np.abs(np.round(x + u))
-            out = out.view(SubArray) if dtype == "subclass" else out.tolist() if dtype == "list" else out.astype(dtype)
-            outputs.append(out)
-            return out
-
-        def spy(name, out, shape):
-            if name == "dynamics":
-                passed.append(out)
-            return checked(name, out, shape)
-
-        monkeypatch.setattr(envs, "_checked", spy)
-        env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=dynamics)
-        rollout_batch(env, np.ones(1), np.full((5, 1, 4), 0.5))
-        skipped = [out for out in outputs if not any(out is p for p in passed)]
-        assert all(checked("dynamics", out, (5, 1)) is out for out in skipped)
-        assert len(skipped) == (len(outputs) if kept else 0) and len(outputs) == 4
 
     @pytest.mark.parametrize(
         "bad, got",
@@ -198,7 +166,7 @@ class TestRolloutCost:
         ids=["complex_array", "complex_list"],
     )
     def test_non_real_dynamics_output_rejected(self, bad, got):
-        # the inline test passes these to _checked (wrong shapes: test_wrong_output_shape_rejected)
+        # wrong shapes: test_wrong_output_shape_rejected
         env = dataclasses.replace(make_env("quadratic_bowl"), dynamics=bad)
         with pytest.raises(ValueError, match=re.escape(f"env.dynamics returned {got}")):
             rollout_batch(env, np.zeros(1), np.zeros((5, 1, 4)))
@@ -217,6 +185,22 @@ class TestRolloutCost:
         env = dataclasses.replace(make_env("pendulum_swingup"), stage_cost=bad)
         with pytest.raises(ValueError, match=re.escape(f"env.stage_cost returned {got}")):
             rollout_batch(env, env.initial_state, np.zeros((5, 1, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", ["point_reacher", "overlap_trap"])
+    def test_array_like_batch_gives_the_arrays_bits(self, name, dtype):
+        # an array-like batch used to fail with "'list' object has no attribute 'ndim'";
+        # it is converted with no dtype forced, so a list of float32 rows stays float32
+        env = make_env(name)
+        u = np.random.default_rng(3).uniform(-1.0, 1.0, (4, env.action_dim, 5)).astype(dtype)
+        batch = u.tolist() if dtype == np.float64 else list(u)
+        J = rollout_batch(env, env.initial_state, u)
+        assert rollout_batch(env, env.initial_state, batch).tobytes() == J.tobytes()
+
+    def test_ragged_list_batch_rejected(self):
+        env = make_env("pendulum_swingup")
+        with pytest.raises(ValueError):
+            rollout_batch(env, env.initial_state, [[[0.0, 0.0, 0.0]], [[0.0, 0.0]]])
 
     @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 5)], ids=["two_action_rows", "two_dims"])
     def test_wrong_action_batch_shape_rejected(self, shape):
@@ -484,14 +468,16 @@ class TestPendulum:
         assert max(drifts) < 2.5
 
     @pytest.mark.parametrize("action_dtype", [np.float64, np.float32, np.int64])
-    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("layout", ["c_order", "rollout", "float32_state"])
     @pytest.mark.parametrize("rows", [1, 7, 32, 4096])
     def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows, action_dtype):
         # the callables write into their own temporaries, with 0-d constants on the
         # float64 states; each element must see the same IEEE operations as the plain
         # expressions, signed zeros, angles of +-pi, an overflowing velocity and an
         # infinite one included, and actions of any real dtype (rollout_batch keeps
-        # u_squashed's, so float32 actions must be squared and scaled in float32)
+        # u_squashed's, so float32 actions must be squared and scaled in float32).
+        # dynamics computes a float32 state as its float64 copy; stage and terminal
+        # of such a state are not pinned
         rng = np.random.default_rng(rows)
         x, u = rng.normal(0.0, 4.0, (rows, 2)), rng.uniform(-2.0, 2.0, (rows, 1))
         x[::3, 0], x[1::3, 0], x[2::5, 0], x[::4, 1] = np.pi, -np.pi, -0.0, -0.0
@@ -502,15 +488,19 @@ class TestPendulum:
             us = np.empty((1, 3, rows), dtype=action_dtype).transpose(1, 2, 0)[1]
             xs[:], us[:] = x, u
             x, u = xs, us
+        elif layout == "float32_state":
+            with np.errstate(over="ignore"):  # 1e300 and -1e200 become infinite
+                x = x.astype(np.float32)
         before = x.copy(), u.copy()
         env = make_env("pendulum_swingup")
         dynamics, stage, terminal = pendulum_reference()
         with np.errstate(all="ignore"):  # the infinite and overflowing rows
             got = env.dynamics(x, u)
-            assert got.tobytes() == dynamics(x, u).tobytes()
+            assert got.dtype == np.float64 and got.tobytes() == dynamics(x.astype(float), u).tobytes()
             assert all(got[:, j].flags.c_contiguous for j in range(2))  # the rollout's layout
-            assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
-            assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
+            if layout != "float32_state":
+                assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
+                assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
         assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])
 
     @pytest.mark.parametrize("layout", ["c_order", "rollout"])
@@ -574,12 +564,13 @@ def reacher_reference():
 
 
 class TestPointReacher:
-    @pytest.mark.parametrize("layout", ["c_order", "rollout"])
+    @pytest.mark.parametrize("layout", ["c_order", "rollout", "float32_state"])
     @pytest.mark.parametrize("rows", [1, 7, 4096])
     def test_in_place_callables_have_the_plain_expressions_bits(self, layout, rows):
         # the callables write into their own outputs and temporaries; each
         # element must see the same IEEE operations as the plain expressions,
-        # signed zeros and a state on the goal included
+        # signed zeros and a state on the goal included.  dynamics computes a
+        # float32 state as its float64 copy
         rng = np.random.default_rng(rows)
         x, u = rng.normal(0.0, 2.0, (rows, 4)), rng.uniform(-1.0, 1.0, (rows, 2))
         x[::3, 0], x[1::3, 1], x[::2, 2], u[::2, 1] = 0.6, -0.4, -0.0, -0.0
@@ -588,13 +579,14 @@ class TestPointReacher:
             xs, us = np.empty((4, 3, rows)).transpose(1, 2, 0)[1], np.empty((2, 3, rows)).transpose(1, 2, 0)[1]
             xs[:], us[:] = x, u
             x, u = xs, us
+        elif layout == "float32_state":
+            x = x.astype(np.float32)
         before = x.copy(), u.copy()
         env = make_env("point_reacher")
         dynamics, stage, terminal = reacher_reference()
         got = env.dynamics(x, u)
-        assert got.tobytes() == dynamics(x, u).tobytes()
-        if layout == "rollout":  # the output keeps the layout
-            assert all(got[:, j].flags.c_contiguous for j in range(4))
+        assert got.dtype == np.float64 and got.tobytes() == dynamics(x.astype(float), u).tobytes()
+        assert all(got[:, j].flags.c_contiguous for j in range(4))  # the rollout's layout
         assert env.stage_cost(x, u).tobytes() == stage(x, u).tobytes()
         assert env.terminal_cost(x).tobytes() == terminal(x).tobytes()
         assert np.array_equal(x, before[0]) and np.array_equal(u, before[1])

@@ -1082,6 +1082,22 @@ class TestSolve:
         sizes = dict(n_candidates=np.int64(8), n_oversample=np.int64(20), horizon=np.int64(3), max_iterations=np.int64(2))
         assert SolverConfig(**sizes).n_candidates == 8
 
+    @pytest.mark.parametrize(
+        "make, name, integer",
+        [(SolverConfig, "alpha", 1), (SolverConfig, "gamma", 2), (SolverConfig, "eta", 0), (SolverConfig, "kappa", 3),
+         (SolverConfig, "deadline", 1), (WeightConfig, "quantile", None), (WeightConfig, "temperature", 2),
+         (WeightConfig, "beta", 1), (lambda **kw: replace(make_env("quadratic_bowl"), **kw), "constraint_penalty", 100)],
+        ids=["alpha", "gamma", "eta", "kappa", "deadline", "quantile", "temperature", "beta", "constraint_penalty"],
+    )
+    def test_real_settings_checked_by_name(self, make, name, integer):
+        # a str used to fail a range check with a bare TypeError, and True to be taken as 1
+        for bad in ("0.1", True):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+                make(**{name: bad})
+        for good in (np.float64(0.5), integer):  # no integer lies in quantile's (0, 1)
+            if good is not None:
+                assert getattr(make(**{name: good}), name) == good
+
     @pytest.mark.parametrize("name", ["n_candidates", "n_oversample", "horizon", "max_iterations"])
     def test_bool_size_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):

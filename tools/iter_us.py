@@ -10,10 +10,12 @@ Both versions of `rkmpc` are loaded into one process, the working tree's
 `git archive` into a temporary directory) as the base.  Each pair runs one
 closed-loop episode of `--steps` warm-started solves of exactly
 `--iterations` iterations on each side, on the same seed, and alternates
-which side goes first.  A side's figure is the episode's wall time divided by
-its iterations, and its minor page faults per iteration are the growth of
-`getrusage(RUSAGE_SELF).ru_minflt` over the episode (so they count the
-prefetch worker thread too) divided by its iterations.  The report gives each
+which side goes first.  Every figure is taken over the `solve` calls alone,
+not the closed-loop `env.dynamics` step between them.  A side's figure is
+the wall time of its episode's solves divided by their iterations, and its
+minor page faults per iteration are the growth of
+`getrusage(RUSAGE_SELF).ru_minflt` over the solves (so they count the
+prefetch worker thread too) divided by their iterations.  The report gives each
 side's median and quartiles of time, its median faults, the ratio of the time
 medians, the pairs the head won (ties count for neither), and whether both
 sides chose the same actions bit for bit.
@@ -81,11 +83,13 @@ def config_of(lib, args):
     )
 
 
-def closed_loop(lib, env, config, args, seed: int) -> tuple[list, int]:
-    """(actions, iterations) of one closed-loop episode of `args.steps` solves."""
+def closed_loop(lib, args, seed: int, solve) -> tuple[list, int]:
+    """(actions, iterations) of one closed-loop episode of `args.steps` solves,
+    each a call of `solve`, lib.solve or a wrapper of it."""
+    env, config = lib.make_env(args.env), config_of(lib, args)
     x, state, actions, iterations = env.initial_state, None, [], 0
     for step in range(args.steps):
-        result, state = lib.solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
+        result, state = solve(env, x, config, args.variant, prev=state, seed=seed, step=step)
         x = env.dynamics(x[None, :], result.u[None, :])[0]
         actions.append(result.u)
         iterations += result.iterations
@@ -94,28 +98,41 @@ def closed_loop(lib, env, config, args, seed: int) -> tuple[list, int]:
 
 def episode(lib, args, seed: int) -> tuple[float, float, bytes]:
     """(us per iteration, minor faults per iteration, the episode's actions as
-    bytes) of one closed-loop episode."""
-    env, config = lib.make_env(args.env), config_of(lib, args)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    actions, iterations = closed_loop(lib, env, config, args, seed)
-    us = (time.perf_counter() - start) * 1e6 / iterations
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return us, faults / iterations, np.concatenate(actions).tobytes()
+    bytes) of one closed-loop episode's solves."""
+    spent = {"s": 0.0, "faults": 0}
+
+    def measured(*argv, **kwargs):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        try:
+            return lib.solve(*argv, **kwargs)
+        finally:
+            spent["s"] += time.perf_counter() - start
+            spent["faults"] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+    actions, iterations = closed_loop(lib, args, seed, measured)
+    return spent["s"] * 1e6 / iterations, spent["faults"] / iterations, np.concatenate(actions).tobytes()
 
 
 def calls(lib, args, seed: int) -> tuple[float, float]:
-    """(Python calls, C calls) per iteration on this thread, over one episode."""
+    """(Python calls, C calls) per iteration on this thread, over one episode's solves."""
     counts = {"call": 0, "c_call": 0}
+    inside = [False]  # setting an item makes no call for the profiler to see
 
     def profile(frame, event, arg):
-        if event in counts:
+        if inside[0] and event in counts:
             counts[event] += 1
 
-    env, config = lib.make_env(args.env), config_of(lib, args)
+    def counted(*argv, **kwargs):
+        inside[0] = True
+        try:
+            return lib.solve(*argv, **kwargs)
+        finally:
+            inside[0] = False
+
     sys.setprofile(profile)
     try:
-        _, iterations = closed_loop(lib, env, config, args, seed)
+        _, iterations = closed_loop(lib, args, seed, counted)
     finally:
         sys.setprofile(None)
     return counts["call"] / iterations, counts["c_call"] / iterations
@@ -133,10 +150,9 @@ def draw_waits(lib, args, seed: int) -> list[float]:
         finally:
             waits.append((time.perf_counter() - start) * 1e6)
 
-    env, config = lib.make_env(args.env), config_of(lib, args)
     prefetch.Prefetch.draw = timed
     try:
-        closed_loop(lib, env, config, args, seed)
+        closed_loop(lib, args, seed, lib.solve)
     finally:
         prefetch.Prefetch.draw = draw
     return waits
