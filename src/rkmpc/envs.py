@@ -181,13 +181,19 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     Outputs made with np.empty_like(x) keep that layout; see EnvSpec for the
     one case (row sums over 8 or more columns) whose bits follow the layout.
     A u_squashed that is not an ndarray is converted by np.asarray, with no
-    dtype forced.  One of a shape other than (N, env.action_dim, H) or an
-    x_t other than (env.state_dim,) raises ValueError, and so does a callable's output of the wrong shape or of a
-    non-real dtype (EnvSpec states the rule).  A diverged candidate
+    dtype forced.  One that numpy cannot convert (a ragged list), one of a
+    shape other than (N, env.action_dim, H), or an x_t other than
+    (env.state_dim,) raises ValueError naming it and the expected shape, and
+    so does a callable's output of the wrong shape or of a non-real dtype
+    (EnvSpec states the rule).  A diverged candidate
     (non-finite cost or state) is marked J = +inf; what it costs is decided
     by the solver, so J never depends on the batch.
     """
-    u_squashed = u_squashed if u_squashed.__class__ is np.ndarray else np.asarray(u_squashed)  # no call for an ndarray
+    if u_squashed.__class__ is not np.ndarray:  # no call for an ndarray
+        try:
+            u_squashed = np.asarray(u_squashed)
+        except ValueError as exc:  # such as a ragged list
+            raise ValueError(f"u_squashed must have shape (N, {env.action_dim}, H), got a ragged sequence") from exc
     if u_squashed.ndim != 3 or u_squashed.shape[1] != env.action_dim:
         raise ValueError(f"u_squashed must have shape (N, {env.action_dim}, H), got {u_squashed.shape}")
     if np.shape(x_t) != (env.state_dim,):

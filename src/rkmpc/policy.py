@@ -87,13 +87,18 @@ def sample_batch(params: PolicyParams | Gaussian, count: int, rng: np.random.Gen
 def _squash_bounds(low: bytes, high: bytes, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
     """(low, high, mid, half, inside) of one set of float64 bounds, given by their
     bytes, shaped (A, 1, ...) to broadcast over (A, H, ...) memory of `ndim` axes.
-    The arrays are read-only, since every call with these bounds shares them."""
+    The arrays are read-only, since every call with these bounds shares them.
+    Bounds with low >= high, or with a non-finite mid or half (a bound that is
+    not finite, or a sum or difference that overflows), raise ValueError; the
+    cache keeps no exception, so such bounds are checked again at every call."""
     bounds_shape = (-1,) + (1,) * (ndim - 1)
     low, high = np.frombuffer(low).reshape(bounds_shape), np.frombuffer(high).reshape(bounds_shape)
-    mid = 0.5 * (low + high)
-    half = 0.5 * (high - low)
-    # low <= mid - half < mid + half <= high in every dimension implies low < high, so the
-    # bound check runs only where this fails; on Python floats, cheaper than ufuncs for small A
+    with np.errstate(over="ignore", invalid="ignore"):  # such bounds are rejected below
+        mid = 0.5 * (low + high)
+        half = 0.5 * (high - low)
+    if not (np.isfinite(mid).all() and np.isfinite(half).all() and (low < high).all()):
+        raise ValueError("action bounds require low < high per dimension, with low + high and high - low finite")
+    # on Python floats, cheaper than ufuncs for small A
     inside = all(
         lo <= a < b <= hi
         for lo, a, b, hi in zip(low.ravel().tolist(), (mid - half).ravel().tolist(),
@@ -119,12 +124,16 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     about 19) land one ulp outside, and only then does the clamp run: an
     O(A) test on the bounds decides.  Every built-in env's bounds are
     symmetric and skip it.  A non-finite u raises
-    ValueError("squash input must be finite").
+    ValueError("squash input must be finite").  So do a u_raw of fewer than
+    two axes, bounds of a shape other than (A,) for its A = u_raw.shape[-2],
+    and bounds without low < high in every dimension or with a non-finite mid
+    or half.
 
-    mid, half and that test are prepared once per distinct set of bound
-    values and input rank, and reused by later calls: the bounds are read on
-    every call and looked up by their bytes, never by the arrays' identity,
-    so bounds changed in place take effect at the next call.
+    mid, half, their check and that test are prepared once per distinct set
+    of bound values and input rank, and reused by later calls: the bounds are
+    read on every call and looked up by their bytes, never by the arrays'
+    identity, so bounds changed in place take effect, and are checked, at the
+    next call.
 
     The result is a new array with the shape of `u_raw`, never a view of it.
     A batch (..., A, H) is computed in (A, H, ...) memory and returned as a
@@ -134,13 +143,14 @@ def squash(u_raw: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """
     u_raw = np.asarray(u_raw, dtype=float)
     low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    if u_raw.ndim < 2 or (low.shape, high.shape) != (u_raw.shape[-2:-1],) * 2:
+        raise ValueError(f"squash takes u_raw of shape (..., A, H) and bounds of shape (A,), "
+                         f"got u_raw {u_raw.shape}, low {low.shape} and high {high.shape}")
     low, high, mid, half, inside = _squash_bounds(low.tobytes(), high.tobytes(), u_raw.ndim)
-    # count_nonzero, not .any() / .all(): the same tests at less cost on small batches
-    if not inside and np.count_nonzero(np.greater_equal(low, high)):
-        raise ValueError("action bounds require low < high per dimension")
     out = np.empty(u_raw.shape[-2:] + u_raw.shape[:-2])
     squashed = out.transpose(tuple(range(2, out.ndim)) + (0, 1))  # the result, shaped as u_raw
     np.copyto(squashed, u_raw)
+    # count_nonzero, not .all(): the same test at less cost on small batches
     finite = np.isfinite(out)
     if np.count_nonzero(finite) != finite.size:
         raise ValueError("squash input must be finite")

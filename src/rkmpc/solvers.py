@@ -162,7 +162,7 @@ class ControlResult:
     wall_time: float
     noise_strength_final: float
     iteration_times: tuple[float, ...]
-    cost_trace: tuple[float, ...] = ()  # min batch cost per iteration
+    cost_trace: tuple[float, ...] = ()  # least rollout cost per iteration, inf if every candidate diverged
     no_positive_update: bool = False
     nonfinite_candidates: int = 0
 
@@ -394,28 +394,30 @@ def noise_strength(J: np.ndarray, sigma_max_running: float) -> tuple[float, floa
     the running maximum of the per-iteration MADs, which is robust to cost
     outliers.  Returns (s, updated running max).  The costs must be finite
     (ValueError otherwise).
+
+    Costs whose peak |J| reaches 2**480 are scaled by 2**-k, with 2**k the
+    power of two just above the peak, so that no sum or square overflows,
+    and std and mad are scaled back.  Scaling by a power of two is exact
+    above the subnormals, and a cost it makes subnormal (one below 2**-1021
+    times the peak) is too small to change a sum, so every finite batch
+    gets the bits of the same sums taken without overflow.  The running max
+    is never scaled, as a tiny one would underflow.
     """
     J = np.asarray(J, dtype=float).ravel()
     if J.size < 2:
         raise ValueError("need at least two cost samples")
-    with np.errstate(over="ignore", invalid="ignore"):  # costs past about 1e308 / N overflow the sums
-        # what J.std() and J.mean() compute, and the reductions their .sum() calls, without the wrappers
-        absdev = np.abs(J - np.add.reduce(J) / J.size)
-        abs_sum = np.add.reduce(absdev)
-    if not abs_sum < 2.0**1023:  # overflowed, or 2 ** frexp below would: the same estimate of J
-        if not np.isfinite(J).all():  # no scaling makes an inf or NaN sum finite: it would recurse forever
-            raise ValueError("costs must be finite")
-        # scaled by 2**-k < 1 / (2N), where no sum overflows
-        k = math.frexp(J.size)[1] + 1
-        s, new_max = noise_strength(J * 2.0**-k, sigma_max_running * 2.0**-k)
-        return s, new_max * 2.0**k
-    scale = 1.0
-    if abs_sum >= 1e154:  # the squares could overflow; scaling by a power of two keeps their bits
-        scale = 2.0 ** math.frexp(abs_sum)[1]
-        absdev /= scale
+    peak = np.maximum.reduce(np.abs(J))  # NaN where any cost is NaN
+    if not math.isfinite(peak):
+        raise ValueError("costs must be finite")
+    k = 0
+    if peak >= 2.0**480:  # below it, N * (2 * peak)**2 stays finite for any N below 2**60
+        k = math.frexp(peak)[1]
+        J = np.ldexp(J, -k)
+    # what J.std() and J.mean() compute, and the reductions their .sum() calls, without the wrappers
+    absdev = np.abs(J - np.add.reduce(J) / J.size)
+    mad = math.ldexp(np.add.reduce(absdev) / J.size, k)
     absdev *= absdev  # |d| * |d| has the bits of d * d
-    std = math.sqrt(np.add.reduce(absdev) / J.size) * scale
-    mad = float(abs_sum / J.size)
+    std = math.ldexp(math.sqrt(np.add.reduce(absdev) / J.size), k)
     new_max = max(sigma_max_running, mad)
     if std <= 0.0:  # new_max <= 0 means every deviation is 0, and so std too
         return 0.0, new_max
@@ -614,8 +616,10 @@ def solve(
     deadline, or one that raises, carries nothing.  A diverged candidate
     (J = +inf) is counted in nonfinite_candidates and costs its batch's worst
     finite cost (0 if none) plus NONFINITE_PENALTY, so it always ranks below
-    every finite candidate.  The state returned has theta+-
-    clipped to PREV_CEILING, so it is always accepted as the next prev.
+    every finite candidate.  cost_trace and best_cost take each batch's least
+    cost before that pricing: inf where every candidate diverged.  The state
+    returned has theta+- clipped to PREV_CEILING, so it is always accepted as
+    the next prev.
     The samplers read theta+- as `Gaussian` views of the state, not as
     validated `PolicyParams` copies: the prior is the one `PolicyParams` a
     solve builds.  An update that left theta+ non-finite surfaces as squash's
@@ -672,12 +676,12 @@ def solve(
                 u_batch = sample_batch(plus, config.n_candidates, rng)
             J = rollout_batch(env, x_t, squash(u_batch, env.action_low, env.action_high))
 
+            cost_trace.append(float(J.min()))  # before pricing: +inf when every candidate diverged
             finite = np.isfinite(J)
             if np.count_nonzero(finite) != finite.size:  # not .all(): the same test at less cost
                 nonfinite_total += int((~finite).sum())
                 ceiling = J[finite].max() if finite.any() else 0.0
                 J = np.where(finite, J, max(ceiling + NONFINITE_PENALTY, np.nextafter(ceiling, np.inf)))
-            cost_trace.append(float(J.min()))
 
             state, moved, s_final = _update(variant, state, u_batch, J, config)
             moved_count += moved

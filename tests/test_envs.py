@@ -199,7 +199,8 @@ class TestRolloutCost:
 
     def test_ragged_list_batch_rejected(self):
         env = make_env("pendulum_swingup")
-        with pytest.raises(ValueError):
+        # numpy's own message named neither u_squashed nor the shape expected
+        with pytest.raises(ValueError, match=re.escape("u_squashed must have shape (N, 1, H), got a ragged sequence")):
             rollout_batch(env, env.initial_state, [[[0.0, 0.0, 0.0]], [[0.0, 0.0]]])
 
     @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 5)], ids=["two_action_rows", "two_dims"])

@@ -43,6 +43,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rkmpc.solvers as solvers
 import rkmpc.weights as weights_module
@@ -102,6 +104,34 @@ def ref_forward_update(theta_i, u_batch, weights, alpha):
     mu = (1.0 - alpha) * theta_i.mu + alpha * mu_star
     sigma = (1.0 - alpha) * theta_i.sigma + alpha * np.sqrt(var_star)
     return mu, np.maximum(sigma, SIGMA_FLOOR)
+
+
+def ref_noise_strength(J, sigma_max_running):
+    """The recursive form: overflowed sums rescale J and the running max and recurse."""
+    J = np.asarray(J, dtype=float).ravel()
+    if J.size < 2:
+        raise ValueError("need at least two cost samples")
+    with np.errstate(over="ignore", invalid="ignore"):
+        absdev = np.abs(J - np.add.reduce(J) / J.size)
+        abs_sum = np.add.reduce(absdev)
+    if not abs_sum < 2.0**1023:
+        if not np.isfinite(J).all():
+            raise ValueError("costs must be finite")
+        k = math.frexp(J.size)[1] + 1
+        s, new_max = ref_noise_strength(J * 2.0**-k, sigma_max_running * 2.0**-k)
+        return s, new_max * 2.0**k
+    scale = 1.0
+    if abs_sum >= 1e154:
+        scale = 2.0 ** math.frexp(abs_sum)[1]
+        absdev /= scale
+    absdev *= absdev
+    std = math.sqrt(np.add.reduce(absdev) / J.size) * scale
+    mad = float(abs_sum / J.size)
+    new_max = max(sigma_max_running, mad)
+    if std <= 0.0:
+        return 0.0, new_max
+    s = (1.0 - mad / std) * (std / new_max)
+    return min(max(s, 0.0), 1.0), new_max
 
 
 def ref_md_gradient(theta, u_batch, lnH, cluster):
@@ -377,6 +407,32 @@ def assert_state_holds(state, sides):
         for name, want in (("theta_" + side, theta), ("theta_tilde_" + side, tilde)):
             got = getattr(state, name)
             assert same_bits(got.mu, want.mu) and same_bits(got.sigma, want.sigma), name
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+# J = offset + spread * unit stays within 2 * 8.9e307, below the float max
+@settings(deadline=None, max_examples=300)
+@given(
+    offset=st.one_of(st.just(0.0), st.floats(-8.9e307, 8.9e307)),
+    spread=st.one_of(st.floats(1e-300, 8.9e307), st.sampled_from([1e-300, 1.0, 2.0**480, 8.9e307])),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=64),
+    running=st.one_of(st.just(0.0), st.floats(0.0, 1e307)),
+)
+# a peak of exactly 2**480, where the scaling starts, and the float just below it
+@example(offset=0.0, spread=2.0**480, unit=[1.0, -0.5, 0.25], running=0.0)
+@example(offset=0.0, spread=math.nextafter(2.0**480, 0.0), unit=[1.0, -0.5, 0.25], running=0.0)
+# a constant batch past 2**480: a tiny running max must come back unscaled, not as 0
+@example(offset=1e300, spread=1.0, unit=[0.0, 0.0], running=1e-30)
+# the deviations of [M, -M, -M] overflow unless scaled
+@example(offset=0.0, spread=1.7e308, unit=[1.0, -1.0, -1.0], running=0.0)
+@example(offset=0.0, spread=FLOAT_MAX, unit=[1.0, -1.0], running=1e307)
+def test_noise_strength_has_the_recursive_forms_bits(offset, spread, unit, running):
+    J = offset + spread * np.array(unit)
+    got = noise_strength(J, running)
+    assert [x.hex() for x in got] == [float(x).hex() for x in ref_noise_strength(J, running)]
+    assert got[1] >= running
 
 
 @pytest.mark.parametrize("lnh_case", sorted(LNH_CASES))

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,24 @@ class TestSquash:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             squash(np.zeros((1, 1)), [1.0], [1.0])
+
+    @pytest.mark.parametrize("shape, low, high, message", [
+        # one bound broadcast silently over A = 2
+        ((2, 3), [0.0], [1.0], "bounds of shape (A,), got u_raw (2, 3), low (1,) and high (1,)"),
+        # three bounds for A = 2 failed inside numpy's broadcast
+        ((2, 3), [0.0] * 3, [1.0] * 3, "bounds of shape (A,), got u_raw (2, 3), low (3,) and high (3,)"),
+        # a single axis has no A: numpy's "axes don't match array"
+        ((3,), [0.0], [1.0], "squash takes u_raw of shape (..., A, H)"),
+        # these squashed to NaN, the first with a RuntimeWarning
+        ((1, 3), [-np.inf], [1.0], "low < high"),
+        ((1, 3), [np.nan], [1.0], "low < high"),
+        ((1, 3), [1e308], [1.5e308], "low < high"),  # finite, but mid overflows
+    ], ids=["one_bound", "three_bounds", "one_axis", "infinite", "nan", "overflowing_mid"])
+    def test_rejects_shapes_and_bounds_it_cannot_use(self, shape, low, high, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                squash(np.zeros(shape), low, high)
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_builtin_bounds_skip_the_clamp(self, monkeypatch, name):

@@ -726,6 +726,29 @@ class TestSolve:
         avg = np.mean(traces, axis=0)
         assert np.all(np.diff(avg) <= 1e-12)
 
+    @pytest.mark.parametrize("env_name, variant, n, n_oversample, horizon, prefetches", [
+        ("pendulum_swingup", "accel", 32, 128, 12, False),
+        ("overlap_trap", "reject", 256, 1024, 16, False),
+        ("point_reacher", "forward", 1024, None, 16, True),
+        ("overlap_trap", "reject", 512, 2048, 16, True),
+    ])
+    def test_shorter_solve_is_a_prefix_of_a_longer_one(self, env_name, variant, n, n_oversample, horizon, prefetches):
+        # each batch is a function of (seed, step, iteration) alone; at the second step the
+        # shorter solve takes the carried draw and the longer one draws iteration 1 itself
+        env = make_env(env_name)
+        config = SolverConfig(n_candidates=n, n_oversample=n_oversample, horizon=horizon, max_iterations=7)
+        short = replace(config, max_iterations=3)
+        assert solvers._prefetches(variant, config, env.action_dim) == prefetches
+        prev = None
+        for step in range(2):
+            assert (prev is not None and prev.carry is not None) == (prefetches and step == 1)
+            shorter, _ = solve(env, env.initial_state, short, variant, prev=prev, seed=3, step=step)
+            if prev is not None and prev.carry is not None:
+                assert prev.carry.take(prev.carry.key) is None  # the shorter solve took it
+            longer, prev = solve(env, env.initial_state, config, variant, prev=prev, seed=3, step=step)
+            assert shorter.cost_trace == longer.cost_trace[:3]
+            assert shorter.best_cost >= longer.best_cost
+
     def test_bit_identical_across_runs_and_batch_layouts(self):
         env = make_env("pendulum_swingup")
         config = quick_config(horizon=8, max_iterations=5)
@@ -791,6 +814,16 @@ class TestSolve:
         assert result.nonfinite_candidates > 0
         assert result.best_cost == pytest.approx(finite_cost)
         assert result.u[0] < 0.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_candidate_diverged_reads_inf(self, variant):
+        # with no finite cost in a batch, its entry read the penalty price, 0 + NONFINITE_PENALTY
+        env = replace(make_env("quadratic_bowl"), stage_cost=lambda x, u: np.full(x.shape[0], np.inf))
+        config = quick_config(max_iterations=3)
+        result, _ = solve(env, env.initial_state, config, variant=variant, seed=0)
+        assert result.nonfinite_candidates == 3 * config.n_candidates
+        assert result.cost_trace == (math.inf,) * 3
+        assert result.best_cost == math.inf
 
     def test_sigma_floor_maintained_all_variants(self):
         env = make_env("quadratic_bowl")
