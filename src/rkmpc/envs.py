@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .policy import _squash_bounds
+
 DEFAULT_DT = 0.1  # mirrors a 10 Hz control period
 DEFAULT_PENALTY = 1e4
 
@@ -87,8 +89,9 @@ class EnvSpec:
     constraint defaults to none (-1 for every row, so no penalty).
     state_dim and action_dim are integers >= 1 (not bool), the four callables
     and a dynamics.advance that is set are callable, action_low and
-    action_high are finite (action_dim,) arrays with low < high in every
-    dimension, initial_state has shape (state_dim,), and constraint_penalty
+    action_high are finite (action_dim,) arrays with low < high and a finite
+    low + high and high - low in every dimension (the rule `squash` applies),
+    initial_state is finite with shape (state_dim,), and constraint_penalty
     is a finite real number >= 0; a bad field raises ValueError naming it at
     construction, `dataclasses.replace` included.  The three array fields
     are stored as float arrays, so they may be given as lists.
@@ -123,10 +126,11 @@ class EnvSpec:
             bound = getattr(self, name)
             if bound.shape != (self.action_dim,) or not np.isfinite(bound).all():
                 raise ValueError(f"{name} must be finite with shape {(self.action_dim,)}, got {bound.shape}")
-        if not (self.action_low < self.action_high).all():
-            raise ValueError("action_low must be < action_high in every dimension")
+        _squash_bounds(self.action_low.tobytes(), self.action_high.tobytes(), 2)  # the rule squash applies
         if self.initial_state.shape != (self.state_dim,):
             raise ValueError(f"initial_state must have shape {(self.state_dim,)}, got {self.initial_state.shape}")
+        if not np.isfinite(self.initial_state).all():
+            raise ValueError(f"initial_state must be finite, got {self.initial_state}")
         _check_reals({"constraint_penalty": self.constraint_penalty})
         if not 0.0 <= self.constraint_penalty < np.inf:  # NaN makes every rollout diverged
             raise ValueError(f"constraint_penalty must be finite and >= 0, got {self.constraint_penalty}")

@@ -97,7 +97,8 @@ def _squash_bounds(low: bytes, high: bytes, ndim: int) -> tuple[np.ndarray, np.n
         mid = 0.5 * (low + high)
         half = 0.5 * (high - low)
     if not (np.isfinite(mid).all() and np.isfinite(half).all() and (low < high).all()):
-        raise ValueError("action bounds require low < high per dimension, with low + high and high - low finite")
+        raise ValueError("action_low must be < action_high in every dimension (low < high), "
+                         "with low + high and high - low finite")
     # on Python floats, cheaper than ufuncs for small A
     inside = all(
         lo <= a < b <= hi

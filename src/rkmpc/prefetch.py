@@ -10,6 +10,18 @@ calling thread's numpy work; everything else stays on the calling thread.
 `solve` imports this module only when it prefetches (see
 `rkmpc.solvers.PREFETCH_MIN_NORMALS`): where bytecode is not cached,
 compiling it costs about 1.5 ms of every cold start that does not need it.
+
+The hand-off between control steps is decided here alone.  A draw is keyed
+by (seed, step, drawn shape, two-sided): the key of a solve of `step` at
+`seed` drawing `shape` with keys (two-sided) or without.  A `Prefetch` takes
+iteration 1's draw from the `Carried` of the state it warm-starts from under
+its own key, and otherwise draws iteration 1 itself.  While iteration i runs
+it draws (step, i + 1), or (step + 1, 1) when i is the last iteration, but
+only when the solve expects another iteration to start.  `close` returns that
+(step + 1, 1) draw as a `Carried` under the next step's key, or None.  The
+worker starts as the last step of building a `Prefetch` and `close` joins
+it, after the draw in flight, so a solve that closes in a `finally` leaves
+no thread behind.
 """
 
 from __future__ import annotations
@@ -74,44 +86,48 @@ class Carried:
 
 
 class Prefetch:
-    """The draws of one solve of control step `step`, the draw after
+    """The draws of one solve of control step `step` at `seed`, the draw after
     iteration i's made on one worker thread while the calling thread runs
     iteration i.
 
-    `rng_of(s, k)` is step s's iteration-k Generator.  Its normals fill buffer
-    k % 2 of `shape`, (n_oversample, A, H) for reject and accel or
+    `rng(seed, s, k)` is step s's iteration-k Generator.  Its normals fill
+    buffer k % 2 of `shape`, (n_oversample, A, H) for reject and accel or
     (n_candidates, A, H) for forward and reverse, and then, with `keys`, its
     Gumbel keys are drawn: the order the serial path draws in, so the bits are
     the same.  The draw after the last iteration is the next step's
-    iteration 1, into the buffer the last iteration does not use; `close`
-    hands it back.  A `first` draw, carried from the step before, serves
-    iteration 1 and its normals become buffer 1.  The calling thread asks
-    for a draw on one queue and takes it, or the exception raised in it, from
-    another, and it takes each draw before asking for the next: at most one
-    draw is in flight, and the worker never writes the buffer the calling
-    thread is sampling from.
+    iteration 1, into the buffer the last iteration does not use.  A draw
+    `carry` holds for this solve's key serves iteration 1, and its normals
+    become buffer 1.  The calling thread asks for a draw on one queue and
+    takes it, or the exception raised in it, from another, and it takes each
+    draw before asking for the next: at most one draw is in flight, and the
+    worker never writes the buffer the calling thread is sampling from.  The
+    worker runs from the end of `__init__` until `close`.
     """
 
     def __init__(
         self,
-        rng_of: Callable[[int, int], np.random.Generator],
+        rng: Callable[[int, int, int], np.random.Generator],
+        seed: int,
         step: int,
         shape: tuple[int, int, int],
         keys: bool,
-        first: Drawn | None = None,
+        carry: Carried | None,
     ):
-        self._rng_of, self._step, self._keys = rng_of, step, keys
+        self._rng, self._seed, self._step, self._keys = rng, seed, step, keys
+        self._next_key = (seed, step + 1, shape, keys)  # the key `close` carries the (step + 1, 1) draw under
+        first = None if carry is None else carry.take((seed, step, shape, keys))
         self._buffers = (np.empty(shape), np.empty(shape) if first is None else first.normals)
         self._asked: queue.SimpleQueue = queue.SimpleQueue()  # ((step, k), buffer) to draw; None stops the worker
         self._drawn: queue.SimpleQueue[Drawn | BaseException] = queue.SimpleQueue()
         self._ahead: tuple[int, int] | None = None  # the (step, k) last asked of the worker or carried in
-        self._thread: threading.Thread | None = None
         if first is not None:
             self._drawn.put(first)
             self._ahead = (step, 1)
+        self._thread = threading.Thread(target=self._work, name="rkmpc-prefetch")
+        self._thread.start()
 
     def _fill(self, key: tuple[int, int], normals: np.ndarray) -> Drawn:
-        rng = self._rng_of(*key)
+        rng = self._rng(self._seed, *key)
         rng.standard_normal(normals.shape, out=normals)
         return Drawn(normals, rng.gumbel(size=normals.shape[0]) if self._keys else None)
 
@@ -122,31 +138,26 @@ class Prefetch:
             except BaseException as exc:  # raised again on the calling thread, by `draw`
                 self._drawn.put(exc)
 
-    def draw(self, i: int, ahead: tuple[int, int] | None) -> Drawn:
-        """Iteration i's draws.  With `ahead`, a (step, iteration) key, the
-        worker starts on that key's draws before this returns: (step, i + 1),
-        or after the last iteration (step + 1, 1)."""
+    def draw(self, i: int, last: bool, ahead: bool) -> Drawn:
+        """Iteration i's draws.  With `ahead`, the worker starts on the next
+        draw before this returns: (step, i + 1), or (step + 1, 1) if i is
+        the `last` iteration."""
         drawn = self._drawn.get() if self._ahead == (self._step, i) else None
         if isinstance(drawn, BaseException):
             raise drawn
-        if ahead is not None:
-            if self._thread is None:
-                thread = threading.Thread(target=self._work, name="rkmpc-prefetch")
-                thread.start()  # kept only once started, so that `close` never joins an unstarted one
-                self._thread = thread
-            self._asked.put((ahead, self._buffers[(i + 1) % 2]))
-            self._ahead = ahead
+        if ahead:
+            self._ahead = (self._step + 1, 1) if last else (self._step, i + 1)
+            self._asked.put((self._ahead, self._buffers[(i + 1) % 2]))
         return drawn if drawn is not None else self._fill((self._step, i), self._buffers[i % 2])  # beside the worker
 
-    def close(self) -> Drawn | None:
+    def close(self) -> Carried | None:
         """Stop and join the worker, after the draw in flight, if any.  Returns
-        the next step's iteration-1 draw if it was asked for; None if it was
-        not, or if it raised (the next step then draws iteration 1 itself)."""
-        if self._thread is not None:
-            self._asked.put(None)
-            self._thread.join()
-            self._thread = None
+        the next step's iteration-1 draw under its key if it was asked for;
+        None if it was not, or if it raised (the next step then draws
+        iteration 1 itself)."""
+        self._asked.put(None)
+        self._thread.join()
         if self._ahead != (self._step + 1, 1):
             return None
         drawn = self._drawn.get()
-        return drawn if isinstance(drawn, Drawn) else None
+        return Carried(self._next_key, drawn) if isinstance(drawn, Drawn) else None

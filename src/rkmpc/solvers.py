@@ -21,24 +21,23 @@ Because the streams do not depend on earlier iterations, a solve that draws
 at least PREFETCH_MIN_NORMALS normals per iteration (n_oversample * A * H for
 reject and accel, n_candidates * A * H for forward and reverse) draws
 iteration i + 1's standard normals, and for reject and accel its Gumbel keys,
-on one worker thread while the calling thread runs iteration i
-(`rkmpc.prefetch`), on any host: the rule reads only the solve's own
-arguments.  During its last iteration the worker draws the next control
-step's iteration 1 instead, from (seed, step + 1, 1)'s stream; the returned
-`SolverState` carries that draw, and the next solve uses it for its own
-iteration 1 if it asks for exactly that draw (the same seed, step + 1 and
-drawn shape, and keys for reject and accel or none for forward and reverse),
-once.  The solve asks for each draw on one queue and takes it back from
-another.  The worker only fills one of two buffers the solve owns, from the
+on one worker thread while the calling thread runs iteration i, on any host:
+the rule reads only the solve's own arguments.  During its last iteration
+the worker draws the next control step's iteration 1 instead; the returned
+`SolverState` carries that draw, and a later solve uses it for its own
+iteration 1 at most once.  `rkmpc.prefetch` owns that hand-off: which draw
+is asked ahead, the keys a carried draw is made and taken under, and the
+worker's lifetime.  The worker only fills buffers the solve owns, from the
 draw's own Generator in the serial order, so results are bit-identical with
 or without the prefetch and the carry.  Sampling, rollouts, env callables,
 weights and updates all stay on the calling thread.  Under a finite deadline
-a draw is made ahead only for an iteration the deadline check is expected to
-let start, and the next step's only when the same check passes at the last
-iteration.  The worker is joined before `solve` returns or raises, after any
-draw in flight, and `wall_time` counts that wait; an exception raised in a
-draw of this step reaches the caller of `solve` unchanged, while one raised
-in the next step's draw is dropped, and that step draws iteration 1 itself.
+a draw is made ahead only for an iteration the deadline check is expected
+to let start, and the next step's only when the same check passes at the
+last iteration.  The worker is joined before `solve` returns or raises,
+after any draw in flight, and `wall_time` counts that wait; an exception
+raised in a draw of this step reaches the caller of `solve` unchanged, while
+one raised in the next step's draw is dropped, and that step draws
+iteration 1 itself.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ class SolverState:
     write into these; the per-side properties return validated, frozen copies.
 
     `carry` is the next step's iteration-1 draw, made by a prefetching `solve`
-    during its last iteration (see the module docstring), or None.  A solve
-    takes it at most once, and only for the draw it was made for; equality and
+    during its last iteration, or None (see `rkmpc.prefetch`).  A solve takes
+    it at most once, and only for the draw it was made for; equality and
     repr ignore it, and no state `solve` builds from a `prev` copies it."""
 
     mu: np.ndarray
@@ -608,18 +607,17 @@ def solve(
     2 * mean_t fits (under a finite deadline, never for iteration 2).  At
     max_iterations, where that test passes, a prefetching solve draws the
     next step's iteration 1 instead and returns it in the state's `carry`.
-    A solve from that state as prev, at the same seed, step + 1 and drawn
-    shape, with Gumbel keys (reject, accel) or without (forward, reverse) as
-    it was drawn, takes it as its own iteration 1's draw; only the first such
-    solve does, and any other draws iteration 1 itself, to the same bits.
-    The worker is joined before solve returns.  A solve stopped by the
-    deadline, or one that raises, carries nothing.  A diverged candidate
-    (J = +inf) is counted in nonfinite_candidates and costs its batch's worst
-    finite cost (0 if none) plus NONFINITE_PENALTY, so it always ranks below
-    every finite candidate.  cost_trace and best_cost take each batch's least
-    cost before that pricing: inf where every candidate diverged.  The state
-    returned has theta+- clipped to PREV_CEILING, so it is always accepted as
-    the next prev.
+    The first solve from that state that asks for exactly that draw (the
+    key `rkmpc.prefetch` states) takes it as its own iteration 1's; any
+    other draws iteration 1 itself, to the same bits.  The worker is joined
+    before solve returns.  A solve stopped by the deadline, or one that
+    raises, carries nothing.  A diverged candidate (J = +inf) is counted in
+    nonfinite_candidates and costs its batch's worst finite cost (0 if
+    none) plus NONFINITE_PENALTY, so it always ranks below every finite
+    candidate.  cost_trace and best_cost take each batch's least cost before
+    that pricing: inf where every candidate diverged.  The state returned
+    has theta+- clipped to PREV_CEILING, so it is always accepted as the
+    next prev.
     The samplers read theta+- as `Gaussian` views of the state, not as
     validated `PolicyParams` copies: the prior is the one `PolicyParams` a
     solve builds.  An update that left theta+ non-finite surfaces as squash's
@@ -640,15 +638,6 @@ def solve(
         raise ValueError(f"x_t must be finite with shape {(env.state_dim,)}, got shape {x_t.shape}")
     state = _initial_state(config, env.action_dim, prev, variant)
     two_sided = variant in ("reject", "accel")
-    prefetch = carried = None
-    if _prefetches(variant, config, env.action_dim):
-        from .prefetch import Carried, Prefetch  # loaded only where used; see its module docstring
-
-        shape = (_drawn_per_iteration(variant, config), env.action_dim, config.horizon)
-        first = None if prev is None or prev.carry is None else prev.carry.take((seed, step, shape, two_sided))
-        prefetch = Prefetch(lambda s, k: _iteration_rng(seed, s, k), step, shape, keys=two_sided, first=first)
-
-    start = time.monotonic()
     iter_times: list[float] = []
     total_t = 0.0  # sum of iter_times, kept as they are timed
     mean_t = math.inf  # mean of iter_times; infinite until an iteration is timed
@@ -656,18 +645,23 @@ def solve(
     s_final = 0.0
     moved_count = 0
     nonfinite_total = 0
+    prefetch = carry = None
+    if _prefetches(variant, config, env.action_dim):
+        from .prefetch import Prefetch  # loaded only where used; see its module docstring
+
+        shape = (_drawn_per_iteration(variant, config), env.action_dim, config.horizon)
+        prefetch = Prefetch(_iteration_rng, seed, step, shape, two_sided, None if prev is None else prev.carry)
 
     try:
+        start = time.monotonic()
         for i in range(1, config.max_iterations + 1):
             t0 = time.monotonic()
             if iter_times and (t0 - start) + mean_t > config.deadline:
                 break
             if prefetch is None:
                 rng = _iteration_rng(seed, step, i)
-            else:  # the next draw (after the last iteration, step + 1's first) only if the stop
-                # test above is expected to let one more iteration start
-                ahead = (step, i + 1) if i < config.max_iterations else (step + 1, 1)
-                rng = prefetch.draw(i, ahead if (t0 - start) + 2.0 * mean_t <= config.deadline else None)
+            else:  # the next draw only if the stop test above is expected to let one more iteration start
+                rng = prefetch.draw(i, i == config.max_iterations, (t0 - start) + 2.0 * mean_t <= config.deadline)
             plus = Gaussian(state.mu[0], state.sigma[0])  # views, not validated PolicyParams copies
             if two_sided:
                 minus = Gaussian(state.mu[1], state.sigma[1])
@@ -690,7 +684,7 @@ def solve(
             mean_t = total_t / len(iter_times)
     finally:
         if prefetch is not None:
-            carried = prefetch.close()
+            carry = prefetch.close()
 
     u_first = squash(state.mu[0], env.action_low, env.action_high)[:, 0]
     result = ControlResult(
@@ -706,5 +700,4 @@ def solve(
     )
     # an update may step past PREV_CEILING: clipped to it, every returned state is a valid prev
     mu, sigma = np.clip(state.mu, -PREV_CEILING, PREV_CEILING), np.minimum(state.sigma, PREV_CEILING)
-    carry = None if carried is None else Carried((seed, step + 1, shape, two_sided), carried)
     return result, replace(state, mu=mu, sigma=sigma, carry=carry)

@@ -643,8 +643,12 @@ class TestEnvSpecChecks:
             ({"action_high": np.array([1.0, np.inf])}, r"action_high must be finite with shape \(2,\), got \(2,\)"),
             ({"action_low": np.array([-1.0, 1.0])}, "action_low must be < action_high"),
             ({"initial_state": np.zeros(2)}, r"initial_state must have shape \(4,\), got \(2,\)"),
+            # finite bounds whose sum and difference overflow: squash's rule, checked at construction
+            ({"action_low": [-1e308, -1.0], "action_high": [1e308, 1.0]}, "action_low must be < action_high"),
+            ({"initial_state": [np.nan, 0.0, 0.0, 0.0]}, r"initial_state must be finite, got \[nan"),
         ],
-        ids=["low_one_element", "high_three_elements", "high_inf", "low_not_below_high", "initial_state_length"],
+        ids=["low_one_element", "high_three_elements", "high_inf", "low_not_below_high", "initial_state_length",
+             "bounds_overflow", "initial_state_nan"],
     )
     def test_bad_bounds_or_initial_state_rejected(self, fields, match):
         # dataclasses.replace builds a new EnvSpec, so the check runs again

@@ -1463,6 +1463,7 @@ class TestPrefetch:
 
     def test_deadline_stopped_solve_carries_nothing(self, monkeypatch, draws_made):
         engage_prefetch(monkeypatch)
+        before = threading.enumerate()
         env = sleeping_env(0.002)
         config = quick_config(horizon=3, deadline=0.05, max_iterations=10**6)
         result, state = solve(env, env.initial_state, config, variant="accel")
@@ -1475,6 +1476,8 @@ class TestPrefetch:
         result, state = solve(env, env.initial_state, replace(config, deadline=10.0, max_iterations=3), variant="accel")
         assert result.iterations == 3 and state.carry is not None
         assert draws_made[-1] == ("rkmpc-prefetch", 1, 1)
+        # every solve joined its worker, the one that asked nothing ahead included
+        assert threading.enumerate() == before
 
     def test_threads_solving_from_one_prev_get_the_serial_bits(self, monkeypatch, draws_made):
         # four solves from one prev at once, each with its own worker: eight

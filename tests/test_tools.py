@@ -109,7 +109,7 @@ def test_iter_us_times_the_prefetch_draws(argv, draws):
     assert re.fullmatch(rf"Prefetch.draw wait per iteration: base {side}; head {side}", lines[4]), lines[4]
 
 
-def test_pairs_runs_head_against_head(tmp_path):
+def test_pairs_runs_head_against_head(tmp_path, monkeypatch):
     out = tmp_path / "pairs.json"
     tool("pairs.py", "--workload", "swingup_rt20", "--pairs", "1", "--seconds", "0", "--out", str(out))
     report = json.loads(out.read_text())
@@ -147,6 +147,32 @@ def test_pairs_runs_head_against_head(tmp_path):
     assert report["info"]["source_bytes"]["head"]["median"] == size
     assert report["info"]["compile_ms"]["unit"] == "ms"
     assert all(report["info"]["compile_ms"][side]["median"] > 0 for side in ("base", "head"))
+    # the code lines over the same files: the head's count is the working tree's, and
+    # with src as committed (as in CI) HEAD's two sides count the same
+    lines = report["info"]["code_lines"]
+    assert lines["unit"] == "lines" and lines["head"]["median"] > 0
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True)
+    if not status.stdout:
+        assert lines["base"]["median"] == lines["head"]["median"]
+    # the rule on a module of known count
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import pairs
+
+    source = b'''"""A module docstring
+over two lines."""
+
+# a comment line
+
+x = max(
+    1,
+    2)  # one statement over three lines
+
+
+def f():
+    """f's docstring."""
+    return x
+'''
+    assert pairs.code_lines(source) == 5  # three lines of x, the def and the return
 
 
 def test_pairs_rejects_a_negative_seed(tmp_path):

@@ -30,12 +30,15 @@ source, and longer source reads as a higher `setup_s`.  So each pair also
 records, per side under "info", `source_bytes`, the size of the tree's
 src/rkmpc/*.py, and `compile_ms`, the median of COMPILE_RUNS timed
 `compile()` passes over those files in this process, made right after that
-side's run.
+side's run.  It also records `code_lines`, those files' lines that hold
+code: not blank, not only a comment, and not part of a docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -45,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +58,8 @@ from iter_us import at_least, export, positive, quartiles
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = ("src", "rtbench", "BENCHMARK.json")
 COMPILE_RUNS = 7
+NOT_CODE = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 def git(*argv: str) -> str:
@@ -91,8 +97,25 @@ def run(tree: Path, args, seed: int) -> dict:
     }
 
 
+def code_lines(source: bytes) -> int:
+    """The lines of a module's source that hold a token other than a comment
+    or a module, class or function docstring."""
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    lines = set()
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type in NOT_CODE or (token.type == tokenize.STRING and token.start in docstrings):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
 def source_info(tree: Path) -> dict:
-    """The size of `tree`'s src/rkmpc/*.py and the median time to compile them."""
+    """The size and code lines of `tree`'s src/rkmpc/*.py and the median time to compile them."""
     sources = [(str(path), path.read_bytes()) for path in sorted((tree / "src" / "rkmpc").glob("*.py"))]
     times = []
     for _ in range(COMPILE_RUNS):
@@ -103,6 +126,7 @@ def source_info(tree: Path) -> dict:
     return {
         "source_bytes": {"value": float(sum(len(text) for _, text in sources)), "unit": "bytes"},
         "compile_ms": {"value": float(f"{np.median(times) * 1e3:.6g}"), "unit": "ms"},
+        "code_lines": {"value": float(sum(code_lines(text) for _, text in sources)), "unit": "lines"},
     }
 
 
