@@ -72,8 +72,9 @@ class EnvSpec:
     is the one callable that may write, and only into states[1:]; no other
     may write to its inputs.  It belongs to the callable, not to the EnvSpec,
     so an EnvSpec given another dynamics (by `dataclasses.replace` too) steps
-    that one.  point_reacher and pendulum_swingup write their step once, as
-    advance, and their dynamics is one step of it (see _one_step).
+    that one.  Every registered env writes its step once, as advance, and
+    its dynamics is one step of it (see _one_step), so each rolls out one
+    advance call per block.
     A rollout passes views whose every column is contiguous, not C-contiguous
     arrays (advance's every step and column); an output made with
     np.empty_like(x) keeps that layout, and any other is copied into it.
@@ -160,8 +161,9 @@ def _checked(name: str, out, shape: tuple) -> np.ndarray:
 
 
 def _step_each(dynamics: Callable, states: np.ndarray, actions: np.ndarray) -> None:
-    """The block stepper of a dynamics without `advance` (see EnvSpec): fills
-    states[1:] with one dynamics call per step, each output checked."""
+    """The block stepper of a bare dynamics, one without `advance` (see
+    EnvSpec): fills states[1:] with one dynamics call per step, each output
+    checked.  No registered env steps through it."""
     for k in range(actions.shape[0]):
         states[k + 1] = _checked("dynamics", dynamics(states[k], actions[k]), states.shape[1:])
 
@@ -170,14 +172,16 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
     """Costs J for a batch of squashed action sequences, shape (N, A, H).
 
     J = terminal(x_{t+H+1}) + sum_tau [ stage(x, u) + penalty * max(0, c(x, u)) ].
-    dynamics.advance, where the dynamics has one, fills each block of steps
-    in one call; other dynamics run once per step.  stage_cost and
-    constraint run once per block of steps over all of its rows, and J is
-    summed step by step (the first block's steps by one reduction over them,
-    which adds them in the same order, from the same +0.0, when nothing is
-    added between).  An env with the default constraint skips the
-    constraint call and the penalty sums, which would add exactly 0.0: J
-    starts at +0.0, so it is never -0.0, and J + 0.0 has the bits of J.
+    dynamics.advance, which every registered env's dynamics has, fills each
+    block of steps in one call; a bare dynamics (one without advance, such
+    as a user's or one given by `dataclasses.replace`) runs once per step
+    through _step_each.  stage_cost and constraint run once per block of
+    steps over all of its rows, and J is summed step by step (the first
+    block's steps by one reduction over them, which adds them in the same
+    order, from the same +0.0, when nothing is added between).  An env with
+    the default constraint skips the constraint call and the penalty sums,
+    which would add exactly 0.0: J starts at +0.0, so it is never -0.0, and
+    J + 0.0 has the bits of J.
     States are kept as (state_dim, steps + 1, N) and actions as (A, H, N),
     so the (rows, dim) arrays the callables get are views whose every column
     is contiguous: a column slice such as x[:, :2] runs one inner loop over
@@ -246,17 +250,18 @@ def rollout_batch(env: EnvSpec, x_t: np.ndarray, u_squashed: np.ndarray) -> np.n
 
 
 def _static(name: str, action_cost: Callable[[np.ndarray], np.ndarray]) -> EnvSpec:
-    """1-D static landscape: state is inert, cost depends on the action only."""
+    """1-D static landscape: state is inert, cost depends on the action only.
+    Its advance copies each block's start into the block's rows, so it rolls
+    out a block per call like every registered env (see _one_step)."""
     return EnvSpec(
         name=name,
         state_dim=1,
         action_dim=1,
         action_low=np.array([-1.0]),
         action_high=np.array([1.0]),
-        dynamics=lambda x, u: x,
+        dynamics=_one_step(lambda states, actions: np.copyto(states[1:], states[0])),
         stage_cost=lambda x, u: action_cost(u[:, 0]),
         terminal_cost=lambda x: np.zeros(x.shape[0]),
-        initial_state=np.zeros(1),
     )
 
 

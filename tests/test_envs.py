@@ -256,7 +256,7 @@ LOCAL_ENVS = {
     for env in (
         # a fresh C-ordered output, copied into the rollout's layout
         two_dim_env("fresh_c_order", lambda x, u: np.column_stack([x[:, 0] + 0.1 * x[:, 1], x[:, 1] - 0.1 * u[:, 1]])),
-        # the input view itself, as the static landscapes return it
+        # the input view itself: an identity step that returns its input
         two_dim_env("input_view", lambda x, u: x),
         # a constraint that binds for part of the candidates
         two_dim_env("active_constraint", lambda x, u: x + 0.1 * u, lambda x, u: u[:, 0] + u[:, 1] - 0.5, 50.0),
@@ -311,19 +311,24 @@ class TestBlockedRollout:
         assert J[0] == np.inf and np.isfinite(J[1:]).all()
         assert J.tobytes() == rollout_batch(explicit, env.initial_state, u).tobytes()
 
-    # the steps of each block: max(1, BLOCK_ROWS // n) steps, the last block the rest
-    @pytest.mark.parametrize("name, n, horizon, sizes", [
-        pytest.param("pendulum_swingup", 32, 12, [12], id="32-12-1"),
-        pytest.param("pendulum_swingup", 600, 37, [13, 13, 11], id="600-37-3"),
-        pytest.param("pendulum_swingup", 1024, 50, [8] * 6 + [2], id="1024-50-7"),
-        pytest.param("point_reacher", 1024, 50, [8] * 6 + [2], id="point_reacher-1024-50-7"),
-        pytest.param("overlap_trap", 600, 37, [13, 13, 11], id="overlap_trap-600-37-3"),
+    # the steps of each block: max(1, BLOCK_ROWS // n) steps, the last block the rest.
+    # Every registered env steps by advance; a bare dynamics (the last row) runs once
+    # per step through _step_each.
+    @pytest.mark.parametrize("base, n, horizon, sizes", [
+        pytest.param(make_env("pendulum_swingup"), 32, 12, [12], id="32-12-1"),
+        pytest.param(make_env("pendulum_swingup"), 600, 37, [13, 13, 11], id="600-37-3"),
+        pytest.param(make_env("pendulum_swingup"), 1024, 50, [8] * 6 + [2], id="1024-50-7"),
+        pytest.param(make_env("point_reacher"), 1024, 50, [8] * 6 + [2], id="point_reacher-1024-50-7"),
+        pytest.param(make_env("overlap_trap"), 600, 37, [13, 13, 11], id="overlap_trap-600-37-3"),
+        pytest.param(
+            dataclasses.replace(make_env("overlap_trap"), dynamics=lambda x, u: x), 600, 37, [13, 13, 11],
+            id="bare_dynamics-600-37-3",
+        ),
     ])
-    def test_call_counts(self, name, n, horizon, sizes):
+    def test_call_counts(self, base, n, horizon, sizes):
         block = max(1, BLOCK_ROWS // n)
         assert sizes == [min(block, horizon - start) for start in range(0, horizon, block)]
         blocks = len(sizes)
-        base = make_env(name)
         calls = Counter()
         advanced = []  # the steps of each advance call
 
@@ -354,6 +359,7 @@ class TestBlockedRollout:
         for base, reference, x0 in [
             (make_env("point_reacher"), reacher_reference()[0], np.array([0.1, -0.2, 0.3, 0.05])),
             (make_env("pendulum_swingup"), pendulum_reference()[0], np.array([3.0, -0.4])),
+            (make_env("overlap_trap"), lambda x, u: x, np.array([0.2])),
         ]:
             calls = []
 
@@ -411,6 +417,22 @@ class TestBuiltinLandscapes:
         u = np.linspace(-1, 1, 10001).reshape(-1, 1)
         c = env.stage_cost(np.zeros((u.shape[0], 1)), u)
         assert u[np.argmin(c), 0] == pytest.approx(0.3, abs=1e-3)
+
+    @pytest.mark.parametrize("name", ["quadratic_bowl", "bimodal_valley", "trap_corridor", "overlap_trap"])
+    def test_static_state_is_held_by_copy(self, name):
+        # advance copies row 0 into the block's rows, signed zeros, inf and NaN bits
+        # included, and writes no row past the block; dynamics is one step of it,
+        # a fresh float64 array whatever x's dtype
+        env = make_env(name)
+        x0, u = np.array([[-0.0], [np.inf], [np.nan], [0.5]]), np.zeros((5, 4, 1))
+        buffer = np.full((1, 7, 4), 7.0).transpose(1, 2, 0)
+        buffer[0] = x0
+        env.dynamics.advance(buffer[:6], u)
+        assert all(buffer[k].tobytes() == x0.tobytes() for k in range(6))
+        assert np.array_equal(buffer[6], np.full((4, 1), 7.0))
+        x = x0.astype(np.float32)
+        got = env.dynamics(x, u[0])
+        assert got is not x and got.dtype == np.float64 and got.tobytes() == x0.tobytes()
 
 
 def pendulum_reference():

@@ -798,6 +798,31 @@ class TestSolve:
     def test_deadline_contract_with_sleeping_rollouts(self, deadline):
         check_deadline_contract(deadline)
 
+    @pytest.mark.parametrize("variant, prefetches", [
+        ("accel", False), ("forward", False), ("reject", False), ("reject", True),
+    ], ids=["accel", "forward", "reject", "reject-prefetch"])
+    def test_deadline_run_replays_at_its_iteration_counts(self, variant, prefetches, monkeypatch):
+        # each batch is a function of (seed, step, iteration) alone, so a deadline-bound
+        # episode is fixed by its per-step iteration counts: replayed with no deadline
+        # at those counts, and without the sleeps (the bowl's state is inert, so each
+        # step starts from initial_state), it gives the same bits.  With the
+        # prefetch engaged the replay carries each next step's first draw, and the
+        # deadline-stopped run carries none.
+        if prefetches:
+            engage_prefetch(monkeypatch)
+        timed = quick_config(n_candidates=16, horizon=6, deadline=0.012, max_iterations=10**6)
+        sleeping, env = sleeping_env(0.0005), make_env("quadratic_bowl")
+        got = episode(sleeping, timed, variant, steps=6)
+        counts = [result.iterations for result, _ in got]
+        assert max(counts) >= 2 and all(state.carry is None for _, state in got)
+        replayed, prev = [], None
+        for step, iterations in enumerate(counts):
+            config = replace(timed, deadline=math.inf, max_iterations=iterations)
+            replayed.append(solve(env, env.initial_state, config, variant=variant, prev=prev, seed=9, step=step))
+            prev = replayed[-1][1]
+            assert (prev.carry is not None) == prefetches
+        assert_same_episode(replayed, got)
+
     @pytest.mark.parametrize(
         "variant, penalty",
         [(v, 1e4) for v in VARIANTS] + [(v, 1e22) for v in VARIANTS],

@@ -77,7 +77,8 @@ def test_iter_us_rejects_bad_shapes_before_the_export(argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_iter_us_counts_calls_exactly():
+@pytest.mark.parametrize("env", ["pendulum_swingup", "overlap_trap"])
+def test_iter_us_counts_calls_exactly(env):
     # without a prefetch worker, a fixed-iteration episode makes the same calls on
     # every run: each side counts the same in two runs, and with src as committed
     # (as in CI) HEAD's two sides count the same
@@ -85,7 +86,7 @@ def test_iter_us_counts_calls_exactly():
     side = rf"{number} Python \+ {number} C = {number}"
     counts = []
     for _ in range(2):
-        lines = iter_us("--variant", "accel", "--n", "4", "--n-oversample", "8", "--horizon", "3",
+        lines = iter_us("--env", env, "--variant", "accel", "--n", "4", "--n-oversample", "8", "--horizon", "3",
                         "--iterations", "2", "--steps", "2", "--pairs", "1", "--calls")
         got = re.fullmatch(rf"calls/iter on the calling thread: base {side}; head {side}", lines[4])
         assert got, lines[4]
